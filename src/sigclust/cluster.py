@@ -8,6 +8,15 @@ exact optimum for small n. Two closed-form diagnostics relate the index to
 a covariance eigenvalue spectrum: the population value of the optimal
 split of a centered Gaussian, and the signed bias that a distorted
 spectrum induces in that value.
+
+The index is invariant to location and rotation, so it depends on the data
+only through the n-by-n Gram matrix ``G = XcᵀXc`` of the centered columns.
+The 2-means search therefore runs as kernel k-means on ``G`` (Dhillon, Guan
+and Kulis, KDD 2004): with ``w_k`` cluster k's indicator divided by its
+size, the margin ``G(w1 - w2) - (w1ᵀGw1 - w2ᵀGw2) / 2`` is the difference
+of squared distances to the two centroids, and one ``G @ [W1 W2]`` product
+per sweep advances every restart at once. The observed statistic and the
+null replications share this one kernel.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from .linalg import DataMatrix
 MAX_LLOYD_ITER = 300
 EXHAUSTIVE_MAX_N = 20
 _EXHAUSTIVE_CHUNK = 1 << 16
+_DUPLICATE_RTOL = 1e-8  # relative gap below which two columns are compared exactly
 
 
 @dataclass(frozen=True)
@@ -84,69 +94,92 @@ def cluster_index_for_labels(x: DataMatrix, labels) -> ClusterSplit:
     return ClusterSplit(labels=labels, wss=wss, tss=tss, ci=wss / tss)
 
 
-def _assign(values, c1, c2, current):
-    # Signed margin between squared distances: g > 0 means closer to c1.
-    g = (c1 - c2) @ values - 0.5 * (c1 @ c1 - c2 @ c2)
-    if current is None:
-        return np.where(g >= 0.0, 1, 2)  # initial ties go to cluster 1
-    return np.where(g > 0.0, 1, np.where(g < 0.0, 2, current))  # ties keep labels
+def _gram(values: np.ndarray) -> np.ndarray:
+    """Gram matrix ``XcᵀXc`` of the grand-mean-centered columns (n by n).
+
+    BLAS may round the entries of two identical columns differently, which
+    would break the exact ties between duplicate observations that the
+    d-space algorithm sees. So every exact duplicate gets the Gram row and
+    column of its first copy.
+    """
+    xc = values - values.mean(axis=1, keepdims=True)
+    gram = xc.T @ xc
+    diag = np.diagonal(gram)
+    ranked = np.sort(diag)
+    if not np.any(np.diff(ranked) <= _DUPLICATE_RTOL * ranked[1:]):
+        return gram  # duplicates would have equal diagonal entries, to round-off
+    scale = diag[:, None] + diag[None, :]
+    close = np.triu(scale - 2.0 * gram <= _DUPLICATE_RTOL * scale, 1)
+    original = np.arange(gram.shape[0])
+    for a, b in zip(*np.nonzero(close)):  # only candidates, verified exactly
+        if original[b] == b and np.array_equal(values[:, a], values[:, b]):
+            original[b] = original[a]
+    return gram[np.ix_(original, original)]
 
 
-def _centroids(values, labels, row_total):
-    mask2 = (labels == 2).astype(np.float64)
-    n2 = mask2.sum()
-    s2 = values @ mask2
-    c1 = (row_total - s2) / (values.shape[1] - n2)
-    c2 = s2 / n2
-    return c1, c2, n2
+def _start_pairs(n: int, restarts: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct pair of initial observations per restart, drawn in restart order."""
+    i, j = np.array([(rng.integers(n), rng.integers(n - 1)) for _ in range(restarts)]).T
+    return i, j + (j >= i)  # uniform over distinct pairs
 
 
-def _repair_empty(values, labels, row_total):
-    # An emptied cluster is refilled with the point farthest from the
-    # surviving centroid (which is then the grand mean).
-    n = values.shape[1]
-    for k in (1, 2):
-        if not np.any(labels == k):
-            centroid = row_total / n
-            dist = ((values - centroid[:, None]) ** 2).sum(axis=0)
-            labels = labels.copy()
-            labels[int(np.argmax(dist))] = k
-    return labels
+def _refill_empty(in2: np.ndarray, far: int) -> None:
+    # An emptied cluster takes the point farthest from the surviving
+    # centroid, which is then the grand mean: the point of largest G_ii.
+    n2 = in2.sum(axis=0)
+    in2[far, n2 == in2.shape[0]] = False
+    in2[far, n2 == 0] = True
 
 
-def _lloyd(values, rng, row_total):
-    """One seeded Lloyd run; returns labels with both clusters nonempty."""
-    n = values.shape[1]
-    i = int(rng.integers(n))
-    j = int(rng.integers(n - 1))
-    if j >= i:
-        j += 1  # uniform distinct pair of initial observations
-    labels = _assign(values, values[:, i], values[:, j], current=None)
+def _centroid_terms(gram: np.ndarray, in2: np.ndarray):
+    """``(G w1, G w2)`` and ``(w1ᵀG w1, w2ᵀG w2)`` per restart.
+
+    Column r of ``in2`` marks cluster 2 of restart r; cluster k's centroid
+    is ``Xc @ w_k`` with ``w_k`` its indicator divided by its size.
+    """
+    n2 = in2.sum(axis=0)
+    w = np.concatenate([~in2 / (in2.shape[0] - n2), in2 / n2], axis=1)
+    gw = gram @ w
+    return np.hsplit(gw, 2), np.split((w * gw).sum(axis=0), 2)
+
+
+def _lloyd_batch(gram: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Final cluster-2 memberships (n by R) of one Lloyd run per start pair.
+
+    All restarts advance together, one ``G @ [W1 W2]`` product per sweep;
+    a restart whose labels stop changing leaves the active set, and none
+    runs more than ``MAX_LLOYD_ITER`` sweeps.
+    """
+    diag = np.diagonal(gram)
+    far = int(np.argmax(diag))
+    # margin g > 0 means closer to centroid 1; initial ties go to cluster 1
+    g = gram[:, first] - gram[:, second] - 0.5 * (diag[first] - diag[second])
+    in2 = g < 0.0
+    active = np.arange(first.size)
     for _ in range(MAX_LLOYD_ITER):
-        labels = _repair_empty(values, labels, row_total)
-        c1, c2, _ = _centroids(values, labels, row_total)
-        new = _assign(values, c1, c2, current=labels)
-        if np.array_equal(new, labels):
+        cur = in2[:, active]
+        _refill_empty(cur, far)
+        (gw1, gw2), (sq1, sq2) = _centroid_terms(gram, cur)
+        g = gw1 - gw2 - 0.5 * (sq1 - sq2)
+        new = (g < 0.0) | ((g == 0.0) & cur)  # ties keep their label
+        in2[:, active] = new
+        active = active[(new != cur).any(axis=0)]
+        if not active.size:
             break
-        labels = new
-    return _repair_empty(values, labels, row_total)
+    _refill_empty(in2, far)
+    return in2
 
 
-def _best_split(values, restarts, rng):
-    n = values.shape[1]
-    row_total = values.sum(axis=1)
-    total_sq = float((values * values).sum())
-    best_labels = None
-    best_wss = np.inf
-    for _ in range(restarts):
-        labels = _lloyd(values, rng, row_total)
-        c1, c2, n2 = _centroids(values, labels, row_total)
-        # wss via the centroid identity; clamp round-off below zero
-        wss = max(total_sq - (n - n2) * float(c1 @ c1) - n2 * float(c2 @ c2), 0.0)
-        if wss < best_wss:
-            best_wss = wss
-            best_labels = labels
-    return best_labels, best_wss
+def _best_split(gram: np.ndarray, restarts: int, rng):
+    """Labels (1/2) and wss of the best seeded restart; the first wins ties."""
+    n = gram.shape[0]
+    in2 = _lloyd_batch(gram, *_start_pairs(n, restarts, rng))
+    n2 = in2.sum(axis=0)
+    _, (sq1, sq2) = _centroid_terms(gram, in2)
+    # wss via the centroid identity; clamp round-off below zero
+    wss = np.maximum(np.trace(gram) - (n - n2) * sq1 - n2 * sq2, 0.0)
+    best = int(np.argmin(wss))
+    return np.where(in2[:, best], 2, 1), float(wss[best])
 
 
 def two_means_ci(x: DataMatrix, restarts: int = 20, seed=None) -> ClusterSplit:
@@ -157,15 +190,18 @@ def two_means_ci(x: DataMatrix, restarts: int = 20, seed=None) -> ClusterSplit:
     updates until the labels stabilize (at most ``MAX_LLOYD_ITER`` sweeps).
     A point equidistant from both centroids keeps its current label, and an
     emptied cluster is refilled with the point farthest from the surviving
-    centroid. The returned index is an upper bound on the global optimum
-    and is deterministic given the seed.
+    centroid. The sweeps run in kernel form on the n-by-n Gram matrix of
+    the centered observations, all restarts at once; the winning split's
+    wss is then recomputed directly from the data. The returned index is
+    an upper bound on the global optimum and is deterministic given the
+    seed.
     """
     if restarts < 1:
         raise InvalidConfigError("restarts must be >= 1")
     tss = _tss(x.values)
     if tss <= 0.0:
         raise DegenerateDataError("total sum of squares is zero; no cluster structure")
-    labels, _ = _best_split(x.values, restarts, as_generator(seed))
+    labels, _ = _best_split(_gram(x.values), restarts, as_generator(seed))
     wss = _wss(x.values, labels)  # recompute in the well-conditioned direct form
     return ClusterSplit(labels=labels, wss=wss, tss=tss, ci=wss / tss)
 
@@ -173,12 +209,16 @@ def two_means_ci(x: DataMatrix, restarts: int = 20, seed=None) -> ClusterSplit:
 def two_means_index(values: np.ndarray, restarts: int, rng) -> float:
     """Cluster index of the best seeded 2-means split of a raw d-by-n array.
 
-    Fast path for the simulation engine: skips DataMatrix validation.
+    Fast path for the simulation engine: skips DataMatrix validation, and
+    runs the same Gram-form kernel as :func:`two_means_ci`, taking both
+    the wss and the total sum of squares (the Gram trace) from the Gram
+    matrix.
     """
-    tss = _tss(values)
+    gram = _gram(values)
+    tss = float(np.trace(gram))
     if tss <= 0.0:
         raise DegenerateDataError("total sum of squares is zero; no cluster structure")
-    _, wss = _best_split(values, restarts, rng)
+    _, wss = _best_split(gram, restarts, rng)
     return wss / tss
 
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import lloyd_reference as reference
 from sigclust import (
     DataMatrix,
     DegenerateDataError,
@@ -13,6 +16,7 @@ from sigclust import (
     two_means_ci,
     two_means_exhaustive,
 )
+from sigclust import cluster
 
 
 def one_d(points):
@@ -112,6 +116,96 @@ class TestTwoMeans:
         x = DataMatrix(np.array([[1.0, 1.0, 1.0, 5.0]]))
         split = two_means_ci(x, restarts=5, seed=2)
         assert set(split.labels.tolist()) == {1, 2}
+
+
+def _columns(d, n, distinct, seed):
+    """d x n normal matrix with ``distinct`` distinct columns (duplicates if < n)."""
+    rng = np.random.default_rng(seed)
+    k = min(distinct, n)
+    cols = np.r_[np.arange(k), rng.integers(0, k, size=n - k)]
+    rng.shuffle(cols)
+    return rng.normal(size=(d, k))[:, cols]
+
+
+def _mirror_tie(values):
+    """Whether two distinct columns are, to round-off, both farthest from the
+    grand mean. An emptied cluster is refilled with either of them, chosen by
+    rounding that differs between the d-space and Gram forms, so a restart
+    may end in the mirror image of the reference split (names swapped)."""
+    dist = ((values - values.mean(axis=1, keepdims=True)) ** 2).sum(axis=0)
+    top = np.flatnonzero(dist >= dist.max() * (1.0 - 1e-12))
+    return any(not np.array_equal(values[:, top[0]], values[:, t]) for t in top[1:])
+
+
+def _same_split(a, b, mirror_ok):
+    return np.array_equal(a, b) or (mirror_ok and np.array_equal(a, 3 - b))
+
+
+class TestBatchedKernelAgainstReference:
+    """The Gram-form batched kernel against the original d-space Lloyd."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        d=st.integers(1, 300),
+        restarts=st.integers(1, 25),
+        distinct=st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+        cap=st.sampled_from([None, 1, 2]),
+    )
+    @example(n=3, d=1, restarts=25, distinct=2, seed=0, cap=None)  # duplicate start pairs
+    @example(n=4, d=5, restarts=25, distinct=2, seed=1, cap=None)  # two columns, twice each
+    @example(n=40, d=300, restarts=25, distinct=40, seed=2, cap=1)
+    @example(n=40, d=300, restarts=25, distinct=40, seed=3, cap=2)
+    def test_matches_d_space_lloyd(self, n, d, restarts, distinct, seed, cap):
+        values = _columns(d, n, distinct, seed)
+        mirror_ok = _mirror_tie(values)
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:
+                mp.setattr(cluster, "MAX_LLOYD_ITER", cap)
+            ref_runs = reference.restart_results(values, restarts, np.random.default_rng(seed))
+            ref_labels, ref_wss = reference.best_split(
+                values, restarts, np.random.default_rng(seed)
+            )
+            gram = cluster._gram(values)
+            starts = cluster._start_pairs(n, restarts, np.random.default_rng(seed))
+            in2 = cluster._lloyd_batch(gram, *starts)
+            index = cluster.two_means_index(values, restarts, np.random.default_rng(seed))
+            split = two_means_ci(
+                DataMatrix(values), restarts=restarts, seed=np.random.default_rng(seed)
+            )
+
+        for r, (labels, _) in enumerate(ref_runs):
+            assert _same_split(np.where(in2[:, r], 2, 1), labels, mirror_ok)
+        tss = cluster._tss(values)
+        assert index == pytest.approx(ref_wss / tss, abs=1e-12)
+        assert split.ci == pytest.approx(ref_wss / tss, abs=1e-12)
+        wss = np.array([w for _, w in ref_runs])
+        if np.sum(wss <= ref_wss + 1e-12 * tss) == 1:  # the best wss is unique
+            assert _same_split(split.labels, ref_labels, mirror_ok)
+
+    def test_emptied_cluster_is_refilled(self):
+        # Starting at two copies of one column ties every point, so all go
+        # to cluster 1 and cluster 2 takes the point farthest from the mean.
+        def start_pair(seed):
+            i, j = cluster._start_pairs(3, 1, np.random.default_rng(seed))
+            return {int(i[0]), int(j[0])}
+
+        values = np.array([[0.0, 0.0, 3.0]])
+        seed = next(s for s in range(100) if start_pair(s) == {0, 1})
+        split = two_means_ci(DataMatrix(values), restarts=1, seed=np.random.default_rng(seed))
+        ref_labels, _ = reference.best_split(values, 1, np.random.default_rng(seed))
+        np.testing.assert_array_equal(split.labels, [1, 1, 2])
+        np.testing.assert_array_equal(ref_labels, [1, 1, 2])
+
+    def test_duplicate_columns_share_gram_entries(self):
+        values = _columns(257, 15, 6, seed=5)
+        gram = cluster._gram(values)
+        for a in range(15):
+            for b in range(15):
+                if np.array_equal(values[:, a], values[:, b]):
+                    np.testing.assert_array_equal(gram[a], gram[b])
+                    np.testing.assert_array_equal(gram[:, a], gram[:, b])
 
 
 class TestExhaustive:

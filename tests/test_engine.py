@@ -212,6 +212,33 @@ class TestRunTest:
         with pytest.raises(InvalidConfigError):
             TestConfig(workers=0)
 
+    def test_timing_counts_prelude_and_own_simulation_only(self, monkeypatch):
+        # A stubbed clock advances only inside the observed 2-means (1 s)
+        # and inside each method's null simulation (10, 100 and 1000 s).
+        from types import SimpleNamespace
+
+        from sigclust import engine
+
+        clock = SimpleNamespace(now=0.0)
+
+        def ticking(fn, steps):
+            steps = iter(steps)
+
+            def wrapped(*args, **kwargs):
+                clock.now += next(steps)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(engine, "time", SimpleNamespace(perf_counter=lambda: clock.now))
+        monkeypatch.setattr(engine, "two_means_ci", ticking(engine.two_means_ci, [1.0]))
+        monkeypatch.setattr(engine, "_simulate", ticking(engine._simulate, [10.0, 100.0, 1000.0]))
+        rng = np.random.default_rng(20)
+        x = DataMatrix(rng.normal(size=(5, 12)))
+        reports = run_tests(x, make_config(), ("hard", "soft", "combined"))
+        assert reports["hard"].timing_seconds == 11.0
+        assert reports["soft"].timing_seconds == 101.0
+        assert reports["combined"].timing_seconds == 1001.0
+
     def test_missing_seed_drawn_and_echoed(self):
         config = TestConfig(n_sim=100)
         assert isinstance(config.master_seed, int)
