@@ -19,13 +19,12 @@ from pathlib import Path
 
 from . import __version__
 from .cluster import theoretical_ci
-from .engine import METHODS, TestConfig, run_test
+from .engine import DEFAULT_RESTARTS, METHODS, TestConfig, estimate_null_spectra, run_test
 from .errors import (
     DegenerateDataError,
     DegenerateNoiseError,
     InvalidConfigError,
     InvalidDataError,
-    NoTraceSolutionError,
     ParseError,
     SigClustError,
 )
@@ -44,13 +43,6 @@ from .io import (
     load_eigenvalue_file,
     load_labels,
     load_matrix,
-)
-from .linalg import sample_spectrum
-from .spectrum import (
-    estimate_noise,
-    flat_fallback_spectrum,
-    hard_threshold,
-    soft_threshold,
 )
 
 EXIT_OK = 0
@@ -107,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="known-label file: one label (1 or 2) per line")
     p_test.add_argument("--true-eigenvalues", default=None, metavar="FILE",
                         help="spectrum file for --method true")
-    p_test.add_argument("--restarts-null", type=int, default=20)
-    p_test.add_argument("--restarts-observed", type=int, default=100)
+    p_test.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
+                        help="k-means restarts for the observed and each null index")
     p_test.add_argument("--workers", type=int, default=1)
     p_test.add_argument("--out", default=None, metavar="DIR",
                         help="write report.json and CSV twins into DIR")
@@ -164,8 +156,8 @@ def _cmd_test(args) -> int:
         method=args.method,
         n_sim=args.nsim,
         master_seed=args.seed,
-        restarts_null=args.restarts_null,
-        restarts_observed=args.restarts_observed,
+        restarts_null=args.restarts,
+        restarts_observed=args.restarts,
         labels=labels,
         true_eigenvalues=true_eigs,
         workers=args.workers,
@@ -227,22 +219,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     x = _load_input(args)
-    spec = sample_spectrum(x)
-    noise = estimate_noise(x)
-    hard = hard_threshold(spec, noise)
-    note = ""
-    try:
-        soft = soft_threshold(spec, noise)
-    except NoTraceSolutionError as err:
-        soft = flat_fallback_spectrum(spec, noise)
-        note = f"warning: soft estimator fell back to a flat spectrum: {err}"
+    spectra, warnings = estimate_null_spectra(x, ("sample", "hard", "soft"))
+    hard, soft = spectra["hard"], spectra["soft"]
     print(f"d={x.d} n={x.n}")
-    print(f"sigma_n_sq: {noise.sigma_n_sq:.9g}")
+    print(f"sigma_n_sq: {hard.sigma_n_sq:.9g}")
     print(f"tau:        {'n/a' if soft.tau is None else format(soft.tau, '.9g')}")
     print(f"rank_cap_l: {hard.rank_cap_l}")
-    if note:
-        print(note, file=sys.stderr)
-    lam = spec.padded()
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    lam = spectra["sample"].eigenvalues
     lines = ["index,sample,hard,soft"]
     for k in range(x.d):
         lines.append(

@@ -3,11 +3,15 @@
 A run estimates a Gaussian null spectrum from the data (or takes it as
 given), simulates ``n_sim`` null data sets of the same shape, computes the
 2-means cluster index on each, and converts the observed index into an
-empirical and a Gaussian p-value. Every replication draws from a stream
-derived deterministically from (master_seed, replication index), so
-results are bit-identical for any worker count, and the combined method's
-hard and soft arms share both the Gaussian draw and the k-means seeding
-within each replication.
+empirical and a Gaussian p-value. The index depends on a null data set
+only through its centred n-by-n Gram matrix, so a replication draws a
+factor F with at most n + K rows whose Gram matrix FᵀF has the law of
+ZᵀΛZ: K Gaussian rows for the leading eigenvalues over a Bartlett
+triangle for the flat bulk, whatever d is. Every replication draws from a
+stream derived deterministically from (master_seed, replication index),
+so results are bit-identical for any worker count, and all arms simulated
+in one run (the combined method's hard and soft arms among them) share
+both the Gaussian draw and the k-means seeding within each replication.
 """
 
 from __future__ import annotations
@@ -35,8 +39,7 @@ from .spectrum import (
 METHODS = ("true", "sample", "hard", "soft", "combined")
 
 DEFAULT_N_SIM = 1000
-DEFAULT_RESTARTS_NULL = 20
-DEFAULT_RESTARTS_OBSERVED = 100
+DEFAULT_RESTARTS = 100
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,10 @@ class TestConfig:
     thresholded estimates, "combined" the per-replication minimum of the
     hard and soft indices, and "true" a user-supplied spectrum passed via
     ``true_eigenvalues``. A missing ``master_seed`` is drawn from OS
-    entropy so the run stays reproducible from the report echo.
+    entropy so the run stays reproducible from the report echo. The
+    observed and null statistics must take the same number of restarts
+    (unless ``labels`` fixes the observed split): an observed index
+    optimized harder than the null ones makes the test reject too often.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -56,8 +62,8 @@ class TestConfig:
     method: str = "combined"
     n_sim: int = DEFAULT_N_SIM
     master_seed: int | None = None
-    restarts_null: int = DEFAULT_RESTARTS_NULL
-    restarts_observed: int = DEFAULT_RESTARTS_OBSERVED
+    restarts_null: int = DEFAULT_RESTARTS
+    restarts_observed: int = DEFAULT_RESTARTS
     labels: np.ndarray | None = None
     true_eigenvalues: np.ndarray | None = None
     workers: int = 1
@@ -71,6 +77,11 @@ class TestConfig:
             raise InvalidConfigError(f"n_sim must be >= 100, got {self.n_sim}")
         if self.restarts_null < 1 or self.restarts_observed < 1:
             raise InvalidConfigError("restart counts must be >= 1")
+        if self.labels is None and self.restarts_null != self.restarts_observed:
+            raise InvalidConfigError(
+                f"restarts_null ({self.restarts_null}) must equal restarts_observed "
+                f"({self.restarts_observed}) when the observed split is optimized"
+            )
         if self.workers < 1:
             raise InvalidConfigError("workers must be >= 1")
         if self.master_seed is None:
@@ -91,8 +102,8 @@ class TestReport:
     ``spectrum_used`` is the null spectrum that generated the simulations,
     or the (hard, soft) pair for the combined method. ``timing_seconds`` is
     the wall time of the shared prelude (observed statistic and spectra)
-    plus this method's own null simulation, and is excluded from all
-    determinism guarantees.
+    plus the one null simulation pass shared by every method of the run,
+    and is excluded from all determinism guarantees.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -131,27 +142,70 @@ def gaussian_p(ci_observed: float, null_mean: float, null_sd: float) -> float:
     return float(min(max(p, tiny), 1.0 - np.finfo(np.float64).epsneg))
 
 
-def _replication_cis(sqrt_rows, n, master_seed, rep, restarts):
-    # One Gaussian draw per replication; each arm rescales the same draw
-    # and reuses the same k-means seed sequence.
-    gauss_seq, km_seq = stream(master_seed, NULL_REP, int(rep)).spawn(2)
-    z = as_generator(gauss_seq).standard_normal((sqrt_rows[0].size, n))
+def _compact_plan(spectra):
+    """(d, K, per-arm sqrt of the K leading eigenvalues, per-arm sqrt floor).
+
+    K is the largest count of eigenvalues above their arm's last one, so
+    past K every arm's spectrum is flat at its own floor ``λ[-1]``.
+    """
+    d = spectra[0].d
+    if any(s.d != d for s in spectra):
+        raise InvalidSpectraError(
+            f"spectra disagree in dimension: {[s.d for s in spectra]}"
+        )
+    k = max(int(np.count_nonzero(s.eigenvalues > s.eigenvalues[-1])) for s in spectra)
+    heads = tuple(np.sqrt(s.eigenvalues[:k]) for s in spectra)
+    floors = tuple(float(np.sqrt(s.eigenvalues[-1])) for s in spectra)
+    return d, k, heads, floors
+
+
+def _bulk_factor(rng, m, n):
+    """B with BᵀB ~ Wishart_n(m, I): m dense normal rows when m <= n, else
+    the n-by-n upper Bartlett triangle (normals above the diagonal,
+    sqrt(chi2(m - i)) at diagonal entry i)."""
+    if m <= n:
+        return rng.standard_normal((m, n))
+    b = np.zeros((n, n))
+    b[np.triu_indices(n, 1)] = rng.standard_normal(n * (n - 1) // 2)
+    b[np.diag_indices(n)] = np.sqrt(rng.chisquare(m - np.arange(n)))
+    return b
+
+
+def _factors(plan, n, rng):
+    """One factor per arm whose Gram matrix has the law of ZᵀΛZ.
+
+    All arms share the K leading Gaussian rows and the bulk factor; an arm
+    with a zero floor (the sample spectrum) keeps only its leading rows.
+    """
+    d, k, heads, floors = plan
+    z = rng.standard_normal((k, n))
+    bulk = _bulk_factor(rng, d - k, n)
     return [
-        two_means_index(sq[:, None] * z, restarts, as_generator(km_seq))
-        for sq in sqrt_rows
+        np.vstack([head[:, None] * z, floor * bulk]) if floor > 0.0 else head[:, None] * z
+        for head, floor in zip(heads, floors)
+    ]
+
+
+def _replication_cis(plan, n, master_seed, rep, restarts):
+    # One draw per replication; every arm reuses the same k-means seeding.
+    gauss_seq, km_seq = stream(master_seed, NULL_REP, int(rep)).spawn(2)
+    return [
+        two_means_index(f, restarts, as_generator(km_seq))
+        for f in _factors(plan, n, as_generator(gauss_seq))
     ]
 
 
 def _replication_chunk(task):
-    sqrt_rows, n, master_seed, reps, restarts = task
-    return [_replication_cis(sqrt_rows, n, master_seed, r, restarts) for r in reps]
+    plan, n, master_seed, reps, restarts = task
+    return [_replication_cis(plan, n, master_seed, r, restarts) for r in reps]
 
 
 def _simulate(spectra, n, config):
-    sqrt_rows = tuple(np.sqrt(s.eigenvalues) for s in spectra)
+    """Null indices of every arm in ``spectra``, from one shared pass."""
+    plan = _compact_plan(spectra)
     if config.workers <= 1:
         rows = [
-            _replication_cis(sqrt_rows, n, config.master_seed, r, config.restarts_null)
+            _replication_cis(plan, n, config.master_seed, r, config.restarts_null)
             for r in range(config.n_sim)
         ]
     else:
@@ -161,7 +215,7 @@ def _simulate(spectra, n, config):
             if c.size
         ]
         tasks = [
-            (sqrt_rows, n, config.master_seed, chunk, config.restarts_null)
+            (plan, n, config.master_seed, chunk, config.restarts_null)
             for chunk in chunks
         ]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -175,10 +229,12 @@ def _simulate(spectra, n, config):
 def simulate_null_cis(spectrum: NullSpectrum, n: int, config: TestConfig) -> np.ndarray:
     """Cluster indices of ``n_sim`` simulated null data sets.
 
-    Replication r draws a d-by-n standard normal matrix from the stream
-    keyed by (master_seed, r), scales row j by sqrt(lambda_j), and runs
-    seeded 2-means with ``restarts_null`` restarts. Output is ordered by
-    replication index and is identical for any worker count.
+    Replication r draws, from the stream keyed by (master_seed, r), the K
+    leading rows sqrt(lambda_j) * z_j of the null data and a factor of the
+    d - K flat rows with the same Gram law (a Bartlett triangle when
+    d - K > n), and runs seeded 2-means with ``restarts_null`` restarts on
+    the stacked factor. Output is ordered by replication index and is
+    identical for any worker count.
     """
     return _simulate((spectrum,), n, config)[0]
 
@@ -188,54 +244,42 @@ def simulate_null_cis_combined(
 ) -> np.ndarray:
     """Per-replication minimum of the hard-arm and soft-arm cluster indices.
 
-    Both arms of each replication rescale one shared standard normal draw
-    and use identical k-means seeding, so the minimum is taken over a
-    genuinely paired pair of indices.
+    Both arms of each replication share the Gaussian draw and the k-means
+    seeding, so the minimum is taken over a genuinely paired pair of
+    indices.
     """
-    if hard.d != soft.d:
-        raise InvalidSpectraError(
-            f"spectra disagree in dimension: {hard.d} vs {soft.d}"
-        )
-    hard_cis, soft_cis = _simulate((hard, soft), n, config)
-    return np.minimum(hard_cis, soft_cis)
+    return np.minimum(*_simulate((hard, soft), n, config))
 
 
-def _null_spectra(x, config, methods):
-    """Null spectra per method, plus shared warnings."""
+def estimate_null_spectra(
+    x: DataMatrix, arms, true_eigenvalues: np.ndarray | None = None
+) -> tuple[dict[str, NullSpectrum], list[str]]:
+    """Null spectra for the ``arms`` among "sample", "hard", "soft" and
+    "true", plus warnings. The soft arm falls back to the flat,
+    trace-preserving spectrum when no soft offset matches the trace."""
+    spectra: dict[str, NullSpectrum] = {}
     warnings: list[str] = []
-    spectra: dict[str, NullSpectrum | tuple[NullSpectrum, NullSpectrum]] = {}
-    estimated = [m for m in methods if m != "true"]
-    if estimated:
+    if {"sample", "hard", "soft"} & set(arms):
         spec = sample_spectrum(x)
-        noise = None
-        if any(m in ("hard", "soft", "combined") for m in estimated):
-            noise = estimate_noise(x)
-        if "sample" in estimated:
-            spectra["sample"] = NullSpectrum(method="sample", eigenvalues=spec.padded())
-        hard = soft = None
-        if any(m in ("hard", "combined") for m in estimated):
-            hard = hard_threshold(spec, noise)
-        if any(m in ("soft", "combined") for m in estimated):
-            try:
-                soft = soft_threshold(spec, noise)
-            except NoTraceSolutionError as err:
-                soft = flat_fallback_spectrum(spec, noise)
-                warnings.append(f"soft estimator fell back to a flat spectrum: {err}")
-        if "hard" in estimated:
-            spectra["hard"] = hard
-        if "soft" in estimated:
-            spectra["soft"] = soft
-        if "combined" in estimated:
-            spectra["combined"] = (hard, soft)
-    if "true" in methods:
-        if config.true_eigenvalues is None:
+        noise = estimate_noise(x) if {"hard", "soft"} & set(arms) else None
+    if "sample" in arms:
+        spectra["sample"] = NullSpectrum(method="sample", eigenvalues=spec.padded())
+    if "hard" in arms:
+        spectra["hard"] = hard_threshold(spec, noise)
+    if "soft" in arms:
+        try:
+            spectra["soft"] = soft_threshold(spec, noise)
+        except NoTraceSolutionError as err:
+            spectra["soft"] = flat_fallback_spectrum(spec, noise)
+            warnings.append(f"soft estimator fell back to a flat spectrum: {err}")
+    if "true" in arms:
+        if true_eigenvalues is None:
             raise InvalidConfigError('method "true" requires true_eigenvalues')
-        if config.true_eigenvalues.size != x.d:
+        if true_eigenvalues.size != x.d:
             raise InvalidSpectraError(
-                f"true eigenvalues have length {config.true_eigenvalues.size}, "
-                f"expected d={x.d}"
+                f"true eigenvalues have length {true_eigenvalues.size}, expected d={x.d}"
             )
-        spectra["true"] = NullSpectrum(method="true", eigenvalues=config.true_eigenvalues)
+        spectra["true"] = NullSpectrum(method="true", eigenvalues=true_eigenvalues)
     return spectra, warnings
 
 
@@ -245,11 +289,13 @@ def run_tests(
     """Run the significance test for several methods on one data set.
 
     The observed statistic, the sample spectrum, and the noise estimate are
-    computed once and shared; each method then simulates its own null
-    distribution from the common replication streams. With
-    ``config.labels`` set, the observed index is computed on the given
-    partition instead of by 2-means optimization, and the mode is recorded
-    in the report.
+    computed once and shared. Each distinct arm the methods need (sample,
+    hard, soft, true; "combined" needs hard and soft) is then simulated
+    once, all in one pass over the common replication streams, and the
+    combined null is the per-replication minimum of the hard and soft
+    indices. With ``config.labels`` set, the observed index is computed on
+    the given partition instead of by 2-means optimization, and the mode
+    is recorded in the report.
     """
     methods = tuple(methods) if methods is not None else (config.method,)
     for m in methods:
@@ -269,17 +315,19 @@ def run_tests(
         observed_mode = "two-means"
     ci_obs = split.ci
 
-    spectra, shared_warnings = _null_spectra(x, config, methods)
-    prelude_seconds = time.perf_counter() - t0
+    arms = tuple(dict.fromkeys(
+        a for m in methods for a in (("hard", "soft") if m == "combined" else (m,))
+    ))
+    spectra, shared_warnings = estimate_null_spectra(x, arms, config.true_eigenvalues)
+    null = dict(zip(arms, _simulate([spectra[a] for a in arms], x.n, config)))
+    if "combined" in methods:
+        spectra["combined"] = (spectra["hard"], spectra["soft"])
+        null["combined"] = np.minimum(null["hard"], null["soft"])
+    elapsed = time.perf_counter() - t0
 
     reports = {}
     for m in methods:
-        t_method = time.perf_counter()
-        used = spectra[m]
-        if m == "combined":
-            null_cis = simulate_null_cis_combined(used[0], used[1], x.n, config)
-        else:
-            null_cis = simulate_null_cis(used, x.n, config)
+        null_cis = null[m]
         null_mean = float(null_cis.mean())
         null_sd = float(null_cis.std(ddof=1))
         reports[m] = TestReport(
@@ -290,14 +338,14 @@ def run_tests(
             p_gaussian=gaussian_p(ci_obs, null_mean, null_sd),
             null_mean=null_mean,
             null_sd=null_sd,
-            spectrum_used=used,
+            spectrum_used=spectra[m],
             warnings=tuple(shared_warnings),
             seed=config.master_seed,
             n_sim=config.n_sim,
             restarts_null=config.restarts_null,
             restarts_observed=config.restarts_observed,
             observed_mode=observed_mode,
-            timing_seconds=prelude_seconds + (time.perf_counter() - t_method),
+            timing_seconds=elapsed,
         )
     return reports
 

@@ -184,6 +184,36 @@ class TestBatchedKernelAgainstReference:
         if np.sum(wss <= ref_wss + 1e-12 * tss) == 1:  # the best wss is unique
             assert _same_split(split.labels, ref_labels, mirror_ok)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.one_of(st.integers(2, 500), st.just(3 * 2**30 + 17)),
+        restarts=st.integers(1, 120),
+        seed=st.integers(0, 2**32 - 1),
+        odd_word=st.booleans(),
+        philox=st.booleans(),
+    )
+    @example(n=3 * 2**30 + 17, restarts=50, seed=0, odd_word=True, philox=True)
+    @example(n=2, restarts=10, seed=1, odd_word=False, philox=False)
+    def test_start_pairs_equal_scalar_draws(self, n, restarts, seed, odd_word, philox):
+        # n near 3 * 2**30 makes numpy redraw about one word in four, so the
+        # rewind to the scalar loop runs; odd_word leaves half a 64-bit word
+        # buffered in the generator beforehand.
+        def gen():
+            g = (np.random.Generator(np.random.Philox(seed)) if philox
+                 else np.random.default_rng(seed))
+            if odd_word:
+                g.integers(7)
+            return g
+
+        scalar, batched = gen(), gen()
+        i, j = np.array(
+            [(scalar.integers(n), scalar.integers(n - 1)) for _ in range(restarts)]
+        ).T
+        got = cluster._start_pairs(n, restarts, batched)
+        np.testing.assert_array_equal(got[0], i)
+        np.testing.assert_array_equal(got[1], j + (j >= i))
+        assert scalar.integers(2**40) == batched.integers(2**40)  # same stream position
+
     def test_emptied_cluster_is_refilled(self):
         # Starting at two copies of one column ties every point, so all go
         # to cluster 1 and cluster 2 takes the point farthest from the mean.

@@ -102,6 +102,112 @@ class TestCombined:
             simulate_null_cis_combined(a, b, n=5, config=make_config())
 
 
+def _spiked(d, head):
+    return np.r_[head, np.ones(d - len(head))]
+
+
+def _factor_grams(lam, n, draws, seed):
+    """Uncentred Gram matrices of ``draws`` compact null factors."""
+    from sigclust import engine
+
+    plan = engine._compact_plan((NullSpectrum(method="true", eigenvalues=lam),))
+    rng = np.random.default_rng(seed)
+    grams = []
+    for _ in range(draws):
+        (f,) = engine._factors(plan, n, rng)
+        grams.append(f.T @ f)
+    return np.array(grams)
+
+
+def _dense_grams(lam, n, draws, seed):
+    rng = np.random.default_rng(seed)
+    grams = []
+    for _ in range(draws):
+        z = np.sqrt(lam)[:, None] * rng.standard_normal((lam.size, n))
+        grams.append(z.T @ z)
+    return np.array(grams)
+
+
+class TestCompactNullFactor:
+    # Spike heads over a unit floor; n = 6. d = 8 has d - K = 5 <= n bulk
+    # rows (dense branch), d = 60 has 57 (Bartlett branch).
+    HEAD = [9.0, 4.0, 2.5]
+
+    @pytest.mark.parametrize("d", [8, 60])
+    def test_gram_moments_match_exact_values(self, d):
+        lam = _spiked(d, self.HEAD)
+        grams = _factor_grams(lam, n=6, draws=20000, seed=d)
+        diag = grams[:, np.arange(6), np.arange(6)].ravel()
+        off = grams[:, 0, 1:].ravel()
+        s1, s2 = lam.sum(), (lam**2).sum()
+        # Sample moments within 5 Monte Carlo standard errors; the errors
+        # use the Gaussian fourth moments of the Gram entries.
+        assert abs(diag.mean() - s1) < 5 * np.sqrt(2 * s2 / diag.size)
+        assert abs(diag.var() / (2 * s2) - 1) < 5 * np.sqrt(
+            (48 * (lam**4).sum() + 8 * s2**2) / (4 * s2**2 * 20000)
+        )
+        assert abs(off.mean()) < 5 * np.sqrt(s2 / off.size)
+        assert abs(off.var() / s2 - 1) < 5 * np.sqrt(
+            (6 * (lam**4).sum() + 3 * s2**2) / (s2**2 * 20000) - 1 / 20000
+        )
+
+    @pytest.mark.parametrize("d", [8, 60])
+    def test_ks_against_dense_draw(self, d):
+        from scipy.stats import ks_2samp
+
+        lam = _spiked(d, self.HEAD)
+        compact = _factor_grams(lam, n=6, draws=3000, seed=100 + d)
+        dense = _dense_grams(lam, n=6, draws=3000, seed=200 + d)
+        for stat in (
+            lambda g: g[:, 2, 2],
+            lambda g: g[:, 1, 4],
+            lambda g: np.linalg.eigvalsh(g)[:, -1],
+        ):
+            assert ks_2samp(stat(compact), stat(dense)).pvalue > 1e-3
+
+    def test_factor_rows_do_not_grow_with_d(self, monkeypatch):
+        from sigclust import engine
+
+        rows = []
+        original = engine.two_means_index
+
+        def spy(values, restarts, rng):
+            rows.append(values.shape[0])
+            return original(values, restarts, rng)
+
+        monkeypatch.setattr(engine, "two_means_index", spy)
+        d, n, k = 20000, 30, 4
+        hard = NullSpectrum(method="hard", eigenvalues=_spiked(d, [50.0, 20.0, 9.0, 3.0]),
+                            sigma_n_sq=1.0)
+        soft = NullSpectrum(method="soft", eigenvalues=_spiked(d, [40.0, 10.0]),
+                            sigma_n_sq=1.0, tau=9.0)
+        simulate_null_cis_combined(hard, soft, n, make_config(restarts_null=5,
+                                                              restarts_observed=5))
+        assert len(rows) == 200
+        assert max(rows) <= n + k
+
+    def test_grid_methods_simulate_four_arms_in_one_pass(self, monkeypatch):
+        from sigclust import engine
+
+        calls = []
+        original = engine._simulate
+
+        def spy(spectra, n, config):
+            calls.append(tuple(s.method for s in spectra))
+            return original(spectra, n, config)
+
+        monkeypatch.setattr(engine, "_simulate", spy)
+        rng = np.random.default_rng(21)
+        x = DataMatrix(rng.normal(size=(40, 10)))
+        config = make_config(true_eigenvalues=np.ones(40))
+        reports = run_tests(x, config, engine.METHODS)
+        assert calls == [("true", "sample", "hard", "soft")]
+        np.testing.assert_array_equal(
+            reports["combined"].null_cis,
+            np.minimum(reports["hard"].null_cis, reports["soft"].null_cis),
+        )
+
+
 class TestRunTest:
     def test_report_invariants(self):
         rng = np.random.default_rng(10)
@@ -208,13 +314,18 @@ class TestRunTest:
         with pytest.raises(InvalidConfigError):
             TestConfig(method="bogus")
         with pytest.raises(InvalidConfigError):
-            TestConfig(restarts_null=0)
+            TestConfig(restarts_null=0, restarts_observed=0)
+        with pytest.raises(InvalidConfigError):  # null optimized less than observed
+            TestConfig(restarts_null=20)
+        labels = np.array([1, 2, 1, 2])
+        assert TestConfig(restarts_null=20, labels=labels).restarts_observed == 100
         with pytest.raises(InvalidConfigError):
             TestConfig(workers=0)
 
-    def test_timing_counts_prelude_and_own_simulation_only(self, monkeypatch):
+    def test_timing_counts_prelude_and_shared_simulation(self, monkeypatch):
         # A stubbed clock advances only inside the observed 2-means (1 s)
-        # and inside each method's null simulation (10, 100 and 1000 s).
+        # and inside the one null simulation pass that serves every method
+        # (10 s); a second pass would take 100 s.
         from types import SimpleNamespace
 
         from sigclust import engine
@@ -231,13 +342,11 @@ class TestRunTest:
 
         monkeypatch.setattr(engine, "time", SimpleNamespace(perf_counter=lambda: clock.now))
         monkeypatch.setattr(engine, "two_means_ci", ticking(engine.two_means_ci, [1.0]))
-        monkeypatch.setattr(engine, "_simulate", ticking(engine._simulate, [10.0, 100.0, 1000.0]))
+        monkeypatch.setattr(engine, "_simulate", ticking(engine._simulate, [10.0, 100.0]))
         rng = np.random.default_rng(20)
         x = DataMatrix(rng.normal(size=(5, 12)))
         reports = run_tests(x, make_config(), ("hard", "soft", "combined"))
-        assert reports["hard"].timing_seconds == 11.0
-        assert reports["soft"].timing_seconds == 101.0
-        assert reports["combined"].timing_seconds == 1001.0
+        assert [r.timing_seconds for r in reports.values()] == [11.0, 11.0, 11.0]
 
     def test_missing_seed_drawn_and_echoed(self):
         config = TestConfig(n_sim=100)
