@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .cluster import theoretical_ci
-from .engine import DEFAULT_RESTARTS, METHODS, TestConfig, estimate_null_spectra, run_test
+from .engine import METHODS, TestConfig, estimate_null_spectra, run_test
 from .errors import (
     DegenerateDataError,
     DegenerateNoiseError,
@@ -99,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="known-label file: one label (1 or 2) per line")
     p_test.add_argument("--true-eigenvalues", default=None, metavar="FILE",
                         help="spectrum file for --method true")
-    p_test.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
-                        help="k-means restarts for the observed and each null index")
+    p_test.add_argument("--restarts-null", type=int, default=20)
+    p_test.add_argument("--restarts-observed", type=int, default=100)
     p_test.add_argument("--workers", type=int, default=1)
     p_test.add_argument("--out", default=None, metavar="DIR",
                         help="write report.json and CSV twins into DIR")
@@ -156,8 +156,8 @@ def _cmd_test(args) -> int:
         method=args.method,
         n_sim=args.nsim,
         master_seed=args.seed,
-        restarts_null=args.restarts,
-        restarts_observed=args.restarts,
+        restarts_null=args.restarts_null,
+        restarts_observed=args.restarts_observed,
         labels=labels,
         true_eigenvalues=true_eigs,
         workers=args.workers,

@@ -120,22 +120,11 @@ def _gram(values: np.ndarray) -> np.ndarray:
 def _start_pairs(n: int, restarts: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Distinct pair of initial observations per restart, drawn in restart order.
 
-    The pairs are those of ``rng.integers(n)`` then ``rng.integers(n - 1)``
-    per restart, drawn in one call: numpy maps a 32-bit word u to
-    ``(u * bound) >> 32`` and draws again only when the low word is below
-    ``2**32 % bound``. In that rare case the generator is rewound and the
-    scalar draws are made one by one.
+    One call with an array of bounds makes the draws of ``rng.integers(n)``
+    then ``rng.integers(n - 1)`` per restart, word for word.
     """
-    if n > 2:  # integers(1) consumes no word
-        saved = rng.bit_generator.state
-        bound = np.tile(np.array([n, n - 1], dtype=np.uint64), restarts)
-        scaled = rng.integers(0, 1 << 32, size=2 * restarts, dtype=np.uint32) * bound
-        if np.all(scaled & 0xFFFFFFFF >= (1 << 32) % bound):
-            i, j = (scaled >> 32).astype(np.int64).reshape(restarts, 2).T
-            return i, j + (j >= i)  # uniform over distinct pairs
-        rng.bit_generator.state = saved
-    i, j = np.array([(rng.integers(n), rng.integers(n - 1)) for _ in range(restarts)]).T
-    return i, j + (j >= i)
+    i, j = rng.integers(np.tile([n, n - 1], restarts)).reshape(restarts, 2).T
+    return i, j + (j >= i)  # uniform over distinct pairs
 
 
 def _refill_empty(in2: np.ndarray, far: int) -> None:

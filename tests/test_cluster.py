@@ -195,9 +195,9 @@ class TestBatchedKernelAgainstReference:
     @example(n=3 * 2**30 + 17, restarts=50, seed=0, odd_word=True, philox=True)
     @example(n=2, restarts=10, seed=1, odd_word=False, philox=False)
     def test_start_pairs_equal_scalar_draws(self, n, restarts, seed, odd_word, philox):
-        # n near 3 * 2**30 makes numpy redraw about one word in four, so the
-        # rewind to the scalar loop runs; odd_word leaves half a 64-bit word
-        # buffered in the generator beforehand.
+        # n near 3 * 2**30 makes numpy redraw about one word in four; n = 2
+        # draws integers(1), which consumes no word; odd_word leaves half a
+        # 64-bit word buffered in the generator beforehand.
         def gen():
             g = (np.random.Generator(np.random.Philox(seed)) if philox
                  else np.random.default_rng(seed))

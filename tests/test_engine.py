@@ -110,7 +110,7 @@ def _factor_grams(lam, n, draws, seed):
     """Uncentred Gram matrices of ``draws`` compact null factors."""
     from sigclust import engine
 
-    plan = engine._compact_plan((NullSpectrum(method="true", eigenvalues=lam),))
+    plan = engine._compact_plan((NullSpectrum(method="true", eigenvalues=lam),), n)
     rng = np.random.default_rng(seed)
     grams = []
     for _ in range(draws):
@@ -129,14 +129,18 @@ def _dense_grams(lam, n, draws, seed):
 
 
 class TestCompactNullFactor:
-    # Spike heads over a unit floor; n = 6. d = 8 has d - K = 5 <= n bulk
-    # rows (dense branch), d = 60 has 57 (Bartlett branch).
+    # Spike heads over a unit floor; n = 6, so K = min(d, 6). d = 8 has
+    # d - K = 2 <= n bulk rows (dense branch), d = 60 has 54 (Bartlett
+    # branch); WIDE has more spikes than n, so its rows past K and its bulk
+    # come from its own continuation of the stream.
     HEAD = [9.0, 4.0, 2.5]
+    WIDE = [9.0, 6.0, 4.0, 3.0, 2.5, 2.0, 1.7, 1.4]
+    CASES = [(8, HEAD), (60, HEAD), (60, WIDE)]
 
-    @pytest.mark.parametrize("d", [8, 60])
-    def test_gram_moments_match_exact_values(self, d):
-        lam = _spiked(d, self.HEAD)
-        grams = _factor_grams(lam, n=6, draws=20000, seed=d)
+    @pytest.mark.parametrize("d,head", CASES)
+    def test_gram_moments_match_exact_values(self, d, head):
+        lam = _spiked(d, head)
+        grams = _factor_grams(lam, n=6, draws=20000, seed=d + len(head))
         diag = grams[:, np.arange(6), np.arange(6)].ravel()
         off = grams[:, 0, 1:].ravel()
         s1, s2 = lam.sum(), (lam**2).sum()
@@ -151,19 +155,42 @@ class TestCompactNullFactor:
             (6 * (lam**4).sum() + 3 * s2**2) / (s2**2 * 20000) - 1 / 20000
         )
 
-    @pytest.mark.parametrize("d", [8, 60])
-    def test_ks_against_dense_draw(self, d):
+    @pytest.mark.parametrize("d,head", CASES)
+    def test_ks_against_dense_draw(self, d, head):
         from scipy.stats import ks_2samp
 
-        lam = _spiked(d, self.HEAD)
-        compact = _factor_grams(lam, n=6, draws=3000, seed=100 + d)
-        dense = _dense_grams(lam, n=6, draws=3000, seed=200 + d)
+        lam = _spiked(d, head)
+        compact = _factor_grams(lam, n=6, draws=3000, seed=100 + d + len(head))
+        dense = _dense_grams(lam, n=6, draws=3000, seed=200 + d + len(head))
         for stat in (
             lambda g: g[:, 2, 2],
             lambda g: g[:, 1, 4],
             lambda g: np.linalg.eigvalsh(g)[:, -1],
         ):
             assert ks_2samp(stat(compact), stat(dense)).pvalue > 1e-3
+
+    def test_arm_nulls_do_not_depend_on_the_other_arms(self):
+        # Unequal spike counts, and a "true" spectrum with more eigenvalues
+        # above its floor than n: each arm's null indices are those of the
+        # arm simulated alone, and combined is the minimum of the two
+        # single-arm runs.
+        from sigclust import engine
+
+        d, n = 300, 12
+        hard = NullSpectrum(method="hard", eigenvalues=_spiked(d, [50.0, 20.0, 9.0, 3.0]),
+                            sigma_n_sq=1.0)
+        soft = NullSpectrum(method="soft", eigenvalues=_spiked(d, [40.0]),
+                            sigma_n_sq=1.0, tau=9.0)
+        wide = NullSpectrum(method="true", eigenvalues=np.linspace(30.0, 1.0, d))
+        config = make_config()
+        alone = {s.method: simulate_null_cis(s, n, config) for s in (hard, soft, wide)}
+        for arms in [(hard, soft, wide), (wide, soft), (soft, hard)]:
+            for arm, cis in zip(arms, engine._simulate(arms, n, config)):
+                np.testing.assert_array_equal(cis, alone[arm.method])
+        np.testing.assert_array_equal(
+            simulate_null_cis_combined(hard, soft, n, config),
+            np.minimum(alone["hard"], alone["soft"]),
+        )
 
     def test_factor_rows_do_not_grow_with_d(self, monkeypatch):
         from sigclust import engine
@@ -176,15 +203,14 @@ class TestCompactNullFactor:
             return original(values, restarts, rng)
 
         monkeypatch.setattr(engine, "two_means_index", spy)
-        d, n, k = 20000, 30, 4
+        d, n = 20000, 30
         hard = NullSpectrum(method="hard", eigenvalues=_spiked(d, [50.0, 20.0, 9.0, 3.0]),
                             sigma_n_sq=1.0)
         soft = NullSpectrum(method="soft", eigenvalues=_spiked(d, [40.0, 10.0]),
                             sigma_n_sq=1.0, tau=9.0)
-        simulate_null_cis_combined(hard, soft, n, make_config(restarts_null=5,
-                                                              restarts_observed=5))
+        simulate_null_cis_combined(hard, soft, n, make_config(restarts_null=5))
         assert len(rows) == 200
-        assert max(rows) <= n + k
+        assert max(rows) <= 2 * n  # K = n leading rows over an n-row Bartlett triangle
 
     def test_grid_methods_simulate_four_arms_in_one_pass(self, monkeypatch):
         from sigclust import engine
@@ -314,11 +340,7 @@ class TestRunTest:
         with pytest.raises(InvalidConfigError):
             TestConfig(method="bogus")
         with pytest.raises(InvalidConfigError):
-            TestConfig(restarts_null=0, restarts_observed=0)
-        with pytest.raises(InvalidConfigError):  # null optimized less than observed
-            TestConfig(restarts_null=20)
-        labels = np.array([1, 2, 1, 2])
-        assert TestConfig(restarts_null=20, labels=labels).restarts_observed == 100
+            TestConfig(restarts_null=0)
         with pytest.raises(InvalidConfigError):
             TestConfig(workers=0)
 
