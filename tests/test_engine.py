@@ -170,9 +170,9 @@ class TestCompactNullFactor:
             assert ks_2samp(stat(compact), stat(dense)).pvalue > 1e-3
 
     def test_arm_nulls_do_not_depend_on_the_other_arms(self):
-        # Unequal spike counts, and a "true" spectrum with more eigenvalues
-        # above its floor than n: each arm's null indices are those of the
-        # arm simulated alone, and combined is the minimum of the two
+        # Unequal spike counts, and two spectra with more eigenvalues above
+        # their floor than n: each arm's null indices are those of the arm
+        # simulated alone, and combined is the minimum of the two
         # single-arm runs.
         from sigclust import engine
 
@@ -182,14 +182,15 @@ class TestCompactNullFactor:
         soft = NullSpectrum(method="soft", eigenvalues=_spiked(d, [40.0]),
                             sigma_n_sq=1.0, tau=9.0)
         wide = NullSpectrum(method="true", eigenvalues=np.linspace(30.0, 1.0, d))
+        wider = NullSpectrum(method="true", eigenvalues=np.linspace(20.0, 0.5, d))
         config = make_config()
-        alone = {s.method: simulate_null_cis(s, n, config) for s in (hard, soft, wide)}
-        for arms in [(hard, soft, wide), (wide, soft), (soft, hard)]:
+        alone = {id(s): simulate_null_cis(s, n, config) for s in (hard, soft, wide, wider)}
+        for arms in [(hard, soft, wide), (wide, soft), (soft, hard), (wider, hard, wide)]:
             for arm, cis in zip(arms, engine._simulate(arms, n, config)):
-                np.testing.assert_array_equal(cis, alone[arm.method])
+                np.testing.assert_array_equal(cis, alone[id(arm)])
         np.testing.assert_array_equal(
             simulate_null_cis_combined(hard, soft, n, config),
-            np.minimum(alone["hard"], alone["soft"]),
+            np.minimum(alone[id(hard)], alone[id(soft)]),
         )
 
     def test_factor_rows_do_not_grow_with_d(self, monkeypatch):
