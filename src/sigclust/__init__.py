@@ -27,7 +27,6 @@ from .engine import (
     run_test,
     run_tests,
     simulate_null_cis,
-    simulate_null_cis_combined,
 )
 from .errors import (
     DegenerateDataError,
@@ -80,7 +79,6 @@ __all__ = [
     "run_test",
     "run_tests",
     "simulate_null_cis",
-    "simulate_null_cis_combined",
     "DegenerateDataError",
     "DegenerateNoiseError",
     "InvalidConfigError",

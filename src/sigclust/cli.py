@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a scenario grid file")
     p_sim.add_argument("--scenario", default=None, metavar="FILE",
                        help="scenario CSV (default: packaged 31-cell grid)")
-    p_sim.add_argument("--methods", default="true,sample,hard,soft,combined",
+    p_sim.add_argument("--methods", default=",".join(METHODS),
                        help="comma-separated methods to run")
     p_sim.add_argument("--full-scale", action="store_true",
                        help="run the file's reps/n_sim instead of desk-scale caps")
@@ -276,3 +276,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:  # console-script entry point
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

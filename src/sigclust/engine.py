@@ -19,10 +19,12 @@ replication.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.stats import norm
@@ -150,10 +152,6 @@ def _compact_plan(spectra, n):
     leading rows; a wider one keeps every eigenvalue above its floor.
     """
     d = spectra[0].d
-    if any(s.d != d for s in spectra):
-        raise InvalidSpectraError(
-            f"spectra disagree in dimension: {[s.d for s in spectra]}"
-        )
     k = min(d, n)
     lams = [s.eigenvalues for s in spectra]
     heads = tuple(np.sqrt(lam[: max(k, np.count_nonzero(lam > lam[-1]))]) for lam in lams)
@@ -205,33 +203,20 @@ def _replication_cis(plan, n, master_seed, rep, restarts):
     ]
 
 
-def _replication_chunk(task):
-    plan, n, master_seed, reps, restarts = task
-    return [_replication_cis(plan, n, master_seed, r, restarts) for r in reps]
-
-
 def _simulate(spectra, n, config):
     """Null indices of every arm in ``spectra``, from one shared pass."""
     plan = _compact_plan(spectra, n)
+    one_rep = partial(
+        _replication_cis, plan, n, config.master_seed, restarts=config.restarts_null
+    )
     if config.workers <= 1:
-        rows = [
-            _replication_cis(plan, n, config.master_seed, r, config.restarts_null)
-            for r in range(config.n_sim)
-        ]
+        rows = list(map(one_rep, range(config.n_sim)))
     else:
-        chunks = [
-            c.tolist()
-            for c in np.array_split(np.arange(config.n_sim), config.workers * 4)
-            if c.size
-        ]
-        tasks = [
-            (plan, n, config.master_seed, chunk, config.restarts_null)
-            for chunk in chunks
-        ]
+        # Executor.map yields in input order, so rows stay in replication
+        # order for any worker count.
+        chunk = math.ceil(config.n_sim / (4 * config.workers))
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunk_rows = list(pool.map(_replication_chunk, tasks))
-        # Merge by replication index: chunks are contiguous and in order.
-        rows = [row for chunk in chunk_rows for row in chunk]
+            rows = list(pool.map(one_rep, range(config.n_sim), chunksize=chunk))
     cis = np.asarray(rows, dtype=np.float64)
     return tuple(cis[:, k].copy() for k in range(len(spectra)))
 
@@ -247,18 +232,6 @@ def simulate_null_cis(spectrum: NullSpectrum, n: int, config: TestConfig) -> np.
     identical for any worker count.
     """
     return _simulate((spectrum,), n, config)[0]
-
-
-def simulate_null_cis_combined(
-    hard: NullSpectrum, soft: NullSpectrum, n: int, config: TestConfig
-) -> np.ndarray:
-    """Per-replication minimum of the hard-arm and soft-arm cluster indices.
-
-    Both arms of each replication share the Gaussian draw and the k-means
-    seeding, so the minimum is taken over a genuinely paired pair of
-    indices.
-    """
-    return np.minimum(*_simulate((hard, soft), n, config))
 
 
 def estimate_null_spectra(

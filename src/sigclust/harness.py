@@ -76,15 +76,18 @@ class ScenarioSpec:
             object.__setattr__(self, "master_seed", seed_int(np.random.SeedSequence()))
 
 
-def _sample_with_components(spec: ScenarioSpec, rep: int):
+def generate_scenario_sample(spec: ScenarioSpec, rep: int) -> DataMatrix:
+    """Data set for replication ``rep``, deterministic per (seed, rep).
+
+    Mixture membership is an i.i.d. fair coin per observation, drawn after
+    the Gaussian block so that all modes coincide exactly when the shift is
+    zero.
+    """
     rng = as_generator(stream(spec.master_seed, SCENARIO_DATA, int(rep)))
     sd = np.ones(spec.d)
     sd[: spec.w] = np.sqrt(spec.v)
     x = sd[:, None] * rng.standard_normal((spec.d, spec.n))
-    components = np.zeros(spec.n, dtype=bool)
     if spec.signal_mode != "none":
-        # Coins are drawn after the Gaussian block, so a zero shift leaves
-        # the matrix identical to the unshifted scenario.
         components = rng.random(spec.n) < 0.5
         if spec.signal_a != 0.0:
             mu = np.zeros(spec.d)
@@ -93,26 +96,17 @@ def _sample_with_components(spec: ScenarioSpec, rep: int):
             else:
                 mu[:] = spec.signal_a
             x[:, components] += mu[:, None]
-    return DataMatrix(x), components
-
-
-def generate_scenario_sample(spec: ScenarioSpec, rep: int) -> DataMatrix:
-    """Data set for replication ``rep``, deterministic per (seed, rep).
-
-    Mixture membership is an i.i.d. fair coin per observation, drawn after
-    the Gaussian block so that all modes coincide exactly when the shift is
-    zero.
-    """
-    return _sample_with_components(spec, rep)[0]
+    return DataMatrix(x)
 
 
 def true_null_eigenvalues(spec: ScenarioSpec) -> np.ndarray:
     """Covariance eigenvalues of the scenario's generating distribution.
 
-    For mixtures the shift adds 0.25 * a^2 times the outer product of the
-    shift direction to the component covariance: a first-coordinate shift
-    only bumps the top diagonal entry, while an all-coordinates shift needs
-    a dense rank-one update that is diagonalized numerically.
+    For mixtures the shift adds b = 0.25 * a^2 times the outer product of
+    the shift direction to the component covariance: a first-coordinate
+    shift only bumps the top diagonal entry, while diag(lam) + b * 11ᵀ keeps
+    v and 1 on the directions summing to zero within each (nonempty) block
+    and mixes the two block means in a 2-by-2 matrix.
     """
     lam = np.ones(spec.d)
     lam[: spec.w] = spec.v
@@ -122,8 +116,15 @@ def true_null_eigenvalues(spec: ScenarioSpec) -> np.ndarray:
     if spec.signal_mode == "first":
         lam[0] += bump
         return np.sort(lam)[::-1]
-    cov = np.diag(lam) + bump * np.ones((spec.d, spec.d))
-    return np.sort(np.linalg.eigvalsh(cov))[::-1]
+    sizes = np.array([spec.w, spec.d - spec.w])
+    values = np.array([spec.v, 1.0])[sizes > 0]
+    sizes = sizes[sizes > 0]
+    root = np.sqrt(sizes)
+    mixed = np.linalg.eigvalsh(np.diag(values) + bump * np.outer(root, root))
+    # The update lowers no eigenvalue: clamping its round-off keeps the
+    # spectrum exactly flat at its floor.
+    lam = np.r_[np.repeat(values, sizes - 1), np.maximum(mixed, values.min())]
+    return np.sort(lam)[::-1]
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,7 @@ def builtin_calibration_grid_path() -> Path:
 
 def load_scenario_file(
     path,
-    methods: tuple[str, ...] = ("true", "sample", "hard", "soft", "combined"),
+    methods: tuple[str, ...] = METHODS,
     master_seed: int | None = None,
     full_scale: bool = False,
 ) -> list[ScenarioSpec]:

@@ -4,7 +4,7 @@ Both estimators start from the sample covariance eigenvalues padded to the
 full dimension d. Hard thresholding floors every eigenvalue at the
 background noise variance, leaving large eigenvalues untouched. Soft
 thresholding additionally subtracts a constant offset tau from the
-eigenvalues that stay above the floor, with tau chosen so that the
+eigenvalues that stay above the floor, with tau solved exactly so that the
 estimated spectrum keeps the sample trace, which is the unbiased estimate
 of the total variation. A small random-matrix helper predicts where the
 sample eigenvalues of a spiked covariance land in high dimensions.
@@ -29,11 +29,6 @@ from .linalg import DataMatrix, EigenSpectrum
 # MAD of the standard normal distribution, i.e. the 75% quantile of |N(0,1)|.
 # Computed from the inverse normal CDF rather than hard-coded.
 MAD_STD_NORMAL = float(norm.ppf(0.75))
-
-# Trace-matching tolerance for the soft estimator, relative to the trace.
-SOFT_TRACE_RTOL = 1e-10
-_BISECT_MAX_ITER = 200
-_BISECT_WIDTH_REL = 1e-14
 
 _METHODS = ("sample", "hard", "soft", "true")
 
@@ -129,12 +124,12 @@ def soft_threshold(spec: EigenSpectrum, noise: NoiseEstimate) -> NullSpectrum:
 
         sum_k max(lam_k - tau - s2, 0) + d * s2 = sum_k lam_k.
 
-    The left side is nonincreasing in tau, so tau is found by bisection on
-    [0, lam_1], run down to an interval width of ``1e-14 * lam_1`` (or 200
-    iterations) and declared converged only if the trace residual is within
-    ``SOFT_TRACE_RTOL`` of the trace. If the noise floor alone exceeds the
-    trace (d * s2 > trace), no tau works and
-    :class:`NoTraceSolutionError` is raised.
+    The left side is piecewise linear in tau, so the root is exact, as in
+    the simplex projection: with u = lam - s2 (padding included) and S its
+    cumulative sum, tau is tau_rho = (S_rho - S_d) / rho for the largest
+    rho with u_rho > tau_rho, or u_1 when d * s2 equals the trace. tau is exactly 0.0
+    when no eigenvalue is below s2. If d * s2 exceeds the trace, no tau
+    works and :class:`NoTraceSolutionError` is raised.
     """
     lam = spec.padded()
     s2 = noise.sigma_n_sq
@@ -145,34 +140,14 @@ def soft_threshold(spec: EigenSpectrum, noise: NoiseEstimate) -> NullSpectrum:
             f"noise floor d*sigma^2 = {d * s2:.6g} exceeds the sample trace "
             f"{target:.6g}; no nonnegative offset matches the trace"
         )
-    tol = SOFT_TRACE_RTOL * target
-
-    def shrunk_sum(tau: float) -> float:
-        return float(np.maximum(lam - tau - s2, 0.0).sum()) + d * s2
-
-    if abs(shrunk_sum(0.0) - target) <= tol:
-        # Already trace-matched: the estimator reduces to the sample
-        # spectrum (floored at s2 where padding zeros would sneak in).
-        return NullSpectrum(
-            method="soft", eigenvalues=np.maximum(lam, s2), sigma_n_sq=s2, tau=0.0
-        )
-
-    lo, hi = 0.0, float(lam[0])
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if shrunk_sum(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_WIDTH_REL * lam[0]:
-            break
-    tau = 0.5 * (lo + hi)
-    if abs(shrunk_sum(tau) - target) > tol:
-        raise NoTraceSolutionError(
-            "trace-matching bisection did not converge to tolerance"
-        )
-    eigenvalues = np.maximum(lam - tau - s2, 0.0) + s2
-    return NullSpectrum(method="soft", eigenvalues=eigenvalues, sigma_n_sq=s2, tau=tau)
+    u = lam - s2
+    cum = np.cumsum(u)
+    taus = (cum - cum[-1]) / np.arange(1, d + 1)
+    above = np.flatnonzero(u > taus)
+    tau = float(taus[above[-1]] if above.size else u[0])
+    return NullSpectrum(
+        method="soft", eigenvalues=np.maximum(lam - tau, s2), sigma_n_sq=s2, tau=tau
+    )
 
 
 def flat_fallback_spectrum(spec: EigenSpectrum, noise: NoiseEstimate) -> NullSpectrum:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sigclust
 from sigclust.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -124,6 +129,19 @@ def test_tci_subcommand(tmp_path, capsys):
     assert main(["tci", str(spec)]) == EXIT_OK
     value = float(capsys.readouterr().out.strip())
     assert value == pytest.approx(1.0 - (2.0 / np.pi) * (100.0 / 1099.0), rel=1e-8)
+
+
+def test_module_entry_point_runs_a_command(tmp_path):
+    spec = tmp_path / "spec.txt"
+    spec.write_text("100\n" + "\n".join(["1"] * 999) + "\n")
+    src = str(Path(sigclust.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sigclust.cli", "tci", str(spec)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK
+    assert float(proc.stdout) == pytest.approx(1.0 - (2.0 / np.pi) * (100.0 / 1099.0), rel=1e-8)
 
 
 def test_simulate_subcommand(tmp_path, capsys):

@@ -8,11 +8,11 @@ from sigclust import (
     NullSpectrum,
     TestConfig,
     empirical_p,
+    engine,
     gaussian_p,
     run_test,
     run_tests,
     simulate_null_cis,
-    simulate_null_cis_combined,
 )
 
 
@@ -20,6 +20,11 @@ def make_config(**kwargs):
     kwargs.setdefault("n_sim", 100)
     kwargs.setdefault("master_seed", 1234)
     return TestConfig(**kwargs)
+
+
+def combined_null(hard, soft, n, config):
+    """Per-replication minimum of the hard and soft null indices."""
+    return np.minimum(*engine._simulate((hard, soft), n, config))
 
 
 class TestPValueHelpers:
@@ -78,7 +83,7 @@ class TestCombined:
         a = NullSpectrum(method="hard", eigenvalues=lam, sigma_n_sq=1.0)
         b = NullSpectrum(method="soft", eigenvalues=lam, sigma_n_sq=1.0, tau=0.0)
         config = make_config()
-        combined = simulate_null_cis_combined(a, b, n=10, config=config)
+        combined = combined_null(a, b, n=10, config=config)
         single = simulate_null_cis(a, n=10, config=config)
         np.testing.assert_array_equal(combined, single)
 
@@ -90,16 +95,10 @@ class TestCombined:
             method="soft", eigenvalues=np.array([6.0, 1.5, 1.0]), sigma_n_sq=1.0, tau=3.0
         )
         config = make_config()
-        combined = simulate_null_cis_combined(hard, soft, n=15, config=config)
+        combined = combined_null(hard, soft, n=15, config=config)
         hard_only = simulate_null_cis(hard, n=15, config=config)
         soft_only = simulate_null_cis(soft, n=15, config=config)
         np.testing.assert_array_equal(combined, np.minimum(hard_only, soft_only))
-
-    def test_dimension_mismatch(self):
-        a = NullSpectrum(method="hard", eigenvalues=np.array([2.0, 1.0]), sigma_n_sq=1.0)
-        b = NullSpectrum(method="soft", eigenvalues=np.array([2.0]), sigma_n_sq=1.0, tau=0.0)
-        with pytest.raises(InvalidSpectraError):
-            simulate_null_cis_combined(a, b, n=5, config=make_config())
 
 
 def _spiked(d, head):
@@ -108,8 +107,6 @@ def _spiked(d, head):
 
 def _factor_grams(lam, n, draws, seed):
     """Uncentred Gram matrices of ``draws`` compact null factors."""
-    from sigclust import engine
-
     plan = engine._compact_plan((NullSpectrum(method="true", eigenvalues=lam),), n)
     rng = np.random.default_rng(seed)
     grams = []
@@ -174,8 +171,6 @@ class TestCompactNullFactor:
         # their floor than n: each arm's null indices are those of the arm
         # simulated alone, and combined is the minimum of the two
         # single-arm runs.
-        from sigclust import engine
-
         d, n = 300, 12
         hard = NullSpectrum(method="hard", eigenvalues=_spiked(d, [50.0, 20.0, 9.0, 3.0]),
                             sigma_n_sq=1.0)
@@ -189,13 +184,11 @@ class TestCompactNullFactor:
             for arm, cis in zip(arms, engine._simulate(arms, n, config)):
                 np.testing.assert_array_equal(cis, alone[id(arm)])
         np.testing.assert_array_equal(
-            simulate_null_cis_combined(hard, soft, n, config),
+            combined_null(hard, soft, n, config),
             np.minimum(alone[id(hard)], alone[id(soft)]),
         )
 
     def test_factor_rows_do_not_grow_with_d(self, monkeypatch):
-        from sigclust import engine
-
         rows = []
         original = engine.two_means_index
 
@@ -209,13 +202,11 @@ class TestCompactNullFactor:
                             sigma_n_sq=1.0)
         soft = NullSpectrum(method="soft", eigenvalues=_spiked(d, [40.0, 10.0]),
                             sigma_n_sq=1.0, tau=9.0)
-        simulate_null_cis_combined(hard, soft, n, make_config(restarts_null=5))
+        combined_null(hard, soft, n, make_config(restarts_null=5))
         assert len(rows) == 200
         assert max(rows) <= 2 * n  # K = n leading rows over an n-row Bartlett triangle
 
     def test_grid_methods_simulate_four_arms_in_one_pass(self, monkeypatch):
-        from sigclust import engine
-
         calls = []
         original = engine._simulate
 
@@ -350,8 +341,6 @@ class TestRunTest:
         # and inside the one null simulation pass that serves every method
         # (10 s); a second pass would take 100 s.
         from types import SimpleNamespace
-
-        from sigclust import engine
 
         clock = SimpleNamespace(now=0.0)
 

@@ -4,8 +4,10 @@ import pytest
 import sigclust.harness as harness
 from sigclust import (
     InvalidConfigError,
+    NullSpectrum,
     ParseError,
     ScenarioSpec,
+    engine,
     generate_scenario_sample,
     load_scenario_file,
     power_curve,
@@ -103,6 +105,21 @@ class TestTrueNullEigenvalues:
         oracle = np.sort(np.linalg.eigvalsh(dense))[::-1]
         np.testing.assert_allclose(lam, oracle, rtol=1e-12)
         assert lam.sum() == pytest.approx(10.0 + 39.0 + 40 * bump, rel=1e-12)
+
+    @pytest.mark.parametrize("w,v", [(0, 9.0), (7, 9.0), (60, 9.0), (7, 1.0)])
+    def test_all_coordinates_matches_dense_and_stays_flat(self, w, v):
+        # The block form agrees with the dense diagonalisation and is
+        # exactly flat at its floor, so the null draw keeps min(d, n) rows.
+        d, n = 60, 10
+        spec = make_spec(d=d, n=n, v=v, w=w, signal_a=0.8, signal_mode="all")
+        lam = true_null_eigenvalues(spec)
+        dense = np.diag(np.r_[np.full(w, v), np.ones(d - w)]) + 0.16 * np.ones((d, d))
+        oracle = np.sort(np.linalg.eigvalsh(dense))[::-1]
+        np.testing.assert_allclose(lam, oracle, rtol=0, atol=1e-12 * oracle[0])
+        _, _, heads, _ = engine._compact_plan(
+            (NullSpectrum(method="true", eigenvalues=lam),), n
+        )
+        assert heads[0].size <= n
 
 
 class TestRunGrid:

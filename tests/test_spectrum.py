@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.stats import norm
 
@@ -127,6 +129,50 @@ class TestSoftThreshold:
         noise = NoiseEstimate(sigma_n_sq=2.0, mad_raw=1.0)
         with pytest.raises(NoTraceSolutionError):
             soft_threshold(spectrum_of([1.0, 1.0]), noise)
+
+    def test_noise_floor_equal_to_trace(self):
+        # d * s2 == trace: no rho qualifies, tau = lam_1 - s2 and every
+        # eigenvalue lands on the floor.
+        out = soft_threshold(spectrum_of([3.0, 1.0]), NoiseEstimate(2.0, 1.0))
+        assert out.tau == 1.0
+        np.testing.assert_array_equal(out.eigenvalues, [2.0, 2.0])
+
+    def test_tau_zero_when_smallest_eigenvalue_equals_noise(self):
+        lam = np.array([5.0, 2.0, 1.0])
+        out = soft_threshold(spectrum_of(lam), self.NOISE)
+        assert out.tau == 0.0
+        np.testing.assert_array_equal(out.eigenvalues, lam)
+
+    def test_tau_on_a_breakpoint(self):
+        # u = lam - s2 = [6, 2, -2, -2]: tau = 2 = u_2, so the second
+        # eigenvalue lands exactly on the floor.
+        out = soft_threshold(spectrum_of([9.0, 5.0, 1.0, 1.0]), NoiseEstimate(3.0, 1.0))
+        assert out.tau == 2.0
+        np.testing.assert_array_equal(out.eigenvalues, [7.0, 3.0, 3.0, 3.0])
+
+    @pytest.mark.parametrize("s2", [1.0, 4.0])
+    def test_single_eigenvalue(self, s2):
+        out = soft_threshold(spectrum_of([4.0]), NoiseEstimate(s2, 1.0))
+        assert out.tau == 0.0
+        np.testing.assert_array_equal(out.eigenvalues, [4.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        head=st.lists(st.floats(0.0, 1e4, allow_subnormal=False), min_size=1, max_size=60),
+        pad=st.integers(0, 200),
+        share=st.floats(0.0, 1.0),
+    )
+    def test_exact_tau_properties(self, head, pad, share):
+        lam = np.sort(np.asarray(head))[::-1]
+        spec = spectrum_of(lam, d=lam.size + pad)
+        trace = spec.padded().sum()
+        s2 = share * trace / spec.d
+        assume(s2 > 0.0 and spec.d * s2 <= trace)
+        out = soft_threshold(spec, NoiseEstimate(s2, 1.0))
+        assert abs(out.eigenvalues.sum() - trace) <= 1e-12 * trace
+        assert out.tau >= 0.0
+        assert np.all(out.eigenvalues >= s2)
+        assert np.all(np.diff(out.eigenvalues) <= 0.0)
 
     def test_trace_preserved_and_tau_matches_brentq_oracle(self):
         rng = np.random.default_rng(2)
