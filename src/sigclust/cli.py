@@ -92,15 +92,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="run the significance test on a matrix")
     _add_matrix_args(p_test)
-    p_test.add_argument("--method", choices=METHODS, default="combined")
-    p_test.add_argument("--nsim", type=int, default=1000, help="null replications")
+    p_test.add_argument("--method", choices=METHODS, default=TestConfig.method)
+    p_test.add_argument("--nsim", type=int, default=TestConfig.n_sim,
+                        help="null replications")
     p_test.add_argument("--seed", type=int, default=None, help="master seed")
     p_test.add_argument("--labels", default=None, metavar="FILE",
                         help="known-label file: one label (1 or 2) per line")
     p_test.add_argument("--true-eigenvalues", default=None, metavar="FILE",
                         help="spectrum file for --method true")
-    p_test.add_argument("--restarts-null", type=int, default=20)
-    p_test.add_argument("--restarts-observed", type=int, default=100)
+    p_test.add_argument("--restarts-null", type=int, default=TestConfig.restarts_null)
+    p_test.add_argument("--restarts-observed", type=int, default=TestConfig.restarts_observed)
     p_test.add_argument("--workers", type=int, default=1)
     p_test.add_argument("--out", default=None, metavar="DIR",
                         help="write report.json and CSV twins into DIR")

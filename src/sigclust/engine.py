@@ -89,6 +89,8 @@ class TestConfig:
             object.__setattr__(
                 self, "master_seed", int.from_bytes(os.urandom(8), "little") >> 1
             )
+        elif self.master_seed < 0:
+            raise InvalidConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.labels is not None:
             object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
         if self.true_eigenvalues is not None:

@@ -74,6 +74,8 @@ class ScenarioSpec:
                 raise InvalidConfigError(f"unknown method {m!r}")
         if self.master_seed is None:
             object.__setattr__(self, "master_seed", seed_int(np.random.SeedSequence()))
+        elif self.master_seed < 0:
+            raise InvalidConfigError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 def generate_scenario_sample(spec: ScenarioSpec, rep: int) -> DataMatrix:

@@ -1,8 +1,8 @@
 """Matrix and label ingestion, variable filtering, and report emission.
 
 Matrices arrive as rectangular numeric CSV files, optionally with a single
-header row and a leading row-name column; both are auto-detected by a
-first-cell-non-numeric heuristic and can be pinned explicitly. Reports are
+header row and a leading row-name column; both are auto-detected as the
+least stripping that leaves a numeric grid, or pinned explicitly. Reports are
 written as JSON with a fixed key order so that two runs with the same seed
 produce byte-identical files apart from the timing field, plus CSV twins
 of the null indices for spreadsheet use.
@@ -19,12 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engine import TestReport
+from .engine import TestConfig, TestReport
 from .errors import InvalidConfigError, InvalidLabelsError, ParseError
 from .linalg import DataMatrix
 from .spectrum import NullSpectrum
 
-_TRISTATE = ("auto", "yes", "no")
+# Rows or columns each header / row-names choice may strip. Their product,
+# in order, tries the least stripping first and row names before a header.
+_STRIPS = {"auto": (0, 1), "yes": (1,), "no": (0,)}
 
 
 @dataclass(frozen=True)
@@ -38,8 +40,8 @@ class RunManifest:
 
     input_path: str
     observations_in_rows: bool = False
-    method: str = "combined"
-    n_sim: int = 1000
+    method: str = TestConfig.method
+    n_sim: int = TestConfig.n_sim
     seed: int | None = None
     labels_path: str | None = None
     filter_top_k: int | None = None
@@ -48,9 +50,8 @@ class RunManifest:
 
 def _read_rows(path) -> list[list[str]]:
     with open(path, newline="") as fh:
-        raw = [row for row in csv.reader(fh)]
-    rows = [[cell.strip() for cell in row] for row in raw]
-    while rows and rows[-1] in ([], [""]):
+        rows = list(csv.reader(fh))
+    while rows and len(rows[-1]) <= 1 and not "".join(rows[-1]).strip():
         rows.pop()  # tolerate trailing blank lines
     if not rows:
         raise ParseError(f"{path}: file contains no data", line=1)
@@ -63,20 +64,15 @@ def _read_rows(path) -> list[list[str]]:
     return rows
 
 
-def _try_parse(rows, skip_header, skip_names):
-    """Parse the stripped grid to floats, or return the first bad cell."""
-    r0 = 1 if skip_header else 0
-    c0 = 1 if skip_names else 0
-    if len(rows) <= r0 or len(rows[0]) <= c0:
-        return None, (r0 + 1, c0 + 1)
-    out = np.empty((len(rows) - r0, len(rows[0]) - c0))
+def _first_bad_cell(rows, r0, c0):
+    """1-based file coordinates of the first cell of the grid that float() rejects."""
     for i, row in enumerate(rows[r0:], start=r0):
         for j, cell in enumerate(row[c0:], start=c0):
             try:
-                out[i - r0, j - c0] = float(cell)
+                float(cell)
             except ValueError:
-                return None, (i + 1, j + 1)
-    return out, None
+                return i + 1, j + 1
+    return r0 + 1, c0 + 1  # the grid is empty
 
 
 def load_matrix(
@@ -87,35 +83,34 @@ def load_matrix(
 ) -> DataMatrix:
     """Read a rectangular numeric CSV as a variables-by-observations matrix.
 
-    With ``header`` or ``row_names`` left on "auto", the smallest amount of
-    stripping that makes the remaining grid fully numeric wins; explicit
-    "yes"/"no" pins the choice and a warning is emitted if the heuristic
-    disagrees. Ragged rows and non-numeric cells raise :class:`ParseError`
-    with 1-based file coordinates; NaN or infinite values parse but raise
+    Cells are read as ``float`` reads them. With ``header`` or ``row_names``
+    left on "auto", the least stripping that leaves a fully numeric grid
+    wins, with a warning for each strip; explicit "yes"/"no" pins the choice.
+    Ragged rows and non-numeric cells raise :class:`ParseError` with 1-based
+    file coordinates; NaN or infinite values parse but raise
     :class:`InvalidDataError`.
     """
-    if header not in _TRISTATE or row_names not in _TRISTATE:
+    if header not in _STRIPS or row_names not in _STRIPS:
         raise InvalidConfigError('header and row_names must be "auto", "yes", or "no"')
     rows = _read_rows(path)
 
-    header_options = {"auto": (False, True), "yes": (True,), "no": (False,)}[header]
-    name_options = {"auto": (False, True), "yes": (True,), "no": (False,)}[row_names]
-    combos = [(h, r) for h in header_options for r in name_options]
-    combos.sort(key=lambda hr: hr[0] + hr[1])  # prefer minimal stripping
-
-    failure = None
+    combos = [(h, r) for h in _STRIPS[header] for r in _STRIPS[row_names]]
     for h, r in combos:
-        values, bad = _try_parse(rows, h, r)
-        if values is not None:
-            if header == "auto" and h:
-                _pywarnings.warn(f"{path}: treating the first row as a header")
-            if row_names == "auto" and r:
-                _pywarnings.warn(f"{path}: treating the first column as row names")
-            if observations_in_rows:
-                values = values.T
-            return DataMatrix(values)
-        failure = bad
-    line, column = failure
+        if len(rows) <= h or len(rows[0]) <= r:
+            continue  # nothing left to parse
+        grid = [row[1:] for row in rows[h:]] if r else rows[h:]
+        try:
+            values = np.array(grid, dtype=np.float64)
+        except ValueError:
+            continue
+        if header == "auto" and h:
+            _pywarnings.warn(f"{path}: treating the first row as a header")
+        if row_names == "auto" and r:
+            _pywarnings.warn(f"{path}: treating the first column as row names")
+        if observations_in_rows:
+            values = values.T
+        return DataMatrix(values)
+    line, column = _first_bad_cell(rows, h, r)
     raise ParseError(
         f"{path}: non-numeric cell at row {line}, column {column}",
         line=line,

@@ -183,3 +183,47 @@ def test_worker_count_reports_identical(matrix_file, tmp_path):
         texts.append((out / "report.json").read_text())
     strip = [re.sub(r'"timing_seconds": [^\n]+', '"timing_seconds": X', t) for t in texts]
     assert strip[0] == strip[1]
+
+
+def test_negative_seed_is_bad_config(matrix_file, capsys):
+    for argv in (["test", str(matrix_file), "--seed", "-1", "--nsim", "100"],
+                 ["simulate", "--seed", "-5"]):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
+def _write_matrix(path, values):
+    path.write_text(
+        "\n".join(",".join(repr(float(v)) for v in row) for row in values) + "\n"
+    )
+    return path
+
+
+def test_two_observations_combined(tmp_path, capsys):
+    path = _write_matrix(tmp_path / "n2.csv", np.random.default_rng(5).normal(size=(6, 2)))
+    code = main(["test", str(path), "--method", "combined", "--nsim", "100", "--seed", "1"])
+    assert code == EXIT_OK
+    assert "d=6 n=2" in capsys.readouterr().out
+
+
+def test_one_variable_hard(tmp_path, capsys):
+    path = _write_matrix(tmp_path / "d1.csv", np.random.default_rng(6).normal(size=(1, 12)))
+    code = main(["test", str(path), "--method", "hard", "--nsim", "100", "--seed", "1"])
+    assert code == EXIT_OK
+    assert "d=1 n=12" in capsys.readouterr().out
+
+
+def test_soft_flat_fallback_warns_on_stderr(tmp_path, capsys):
+    # Rows nearly constant but far apart: no soft offset matches the trace.
+    rng = np.random.default_rng(17)
+    values = np.arange(10.0)[:, None] * 30.0 + 1e-3 * rng.normal(size=(10, 8))
+    path = _write_matrix(tmp_path / "flat.csv", values)
+    code = main(["test", str(path), "--method", "soft", "--nsim", "100", "--seed", "1"])
+    assert code == EXIT_OK
+    err = capsys.readouterr().err
+    assert any(
+        line.startswith("warning: ") and "flat spectrum" in line
+        for line in err.splitlines()
+    )

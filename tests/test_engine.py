@@ -335,6 +335,8 @@ class TestRunTest:
             TestConfig(restarts_null=0)
         with pytest.raises(InvalidConfigError):
             TestConfig(workers=0)
+        with pytest.raises(InvalidConfigError):
+            TestConfig(master_seed=-1)
 
     def test_timing_counts_prelude_and_shared_simulation(self, monkeypatch):
         # A stubbed clock advances only inside the observed 2-means (1 s)

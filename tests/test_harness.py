@@ -85,6 +85,8 @@ class TestScenarioSamples:
             make_spec(v=0.5)
         with pytest.raises(InvalidConfigError):
             make_spec(methods=("bogus",))
+        with pytest.raises(InvalidConfigError):
+            make_spec(master_seed=-5)
 
 
 class TestTrueNullEigenvalues:

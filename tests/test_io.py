@@ -1,8 +1,15 @@
 import json
 import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import io_reference as reference
 
 from sigclust import (
     DataMatrix,
@@ -97,6 +104,102 @@ class TestLoadMatrix:
         )
         x = load_matrix(path)
         np.testing.assert_array_equal(x.values, values)
+
+
+def _outcome(load, path, **kwargs):
+    """What one load gives: values (bytes and shape) or the error, plus warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            x = load(path, **kwargs)
+            result = ("ok", x.values.shape, x.values.tobytes())
+        except Exception as err:
+            result = (type(err), str(err), getattr(err, "line", None),
+                      getattr(err, "column", None))
+    return result, [str(w.message) for w in caught]
+
+
+_NUMBER = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_CELL = st.one_of(
+    _NUMBER,
+    st.tuples(st.sampled_from(["", " ", "  ", "\t"]), _NUMBER,
+              st.sampled_from(["", " ", "\t "])).map("".join),
+    st.sampled_from(["nan", "inf", "-inf", "NaN", "1_0", "1__0", "1e400"]),
+    _NUMBER.map(lambda v: f'"{v}"'),
+    st.sampled_from(['" 2.5 "', "abc", "gene", "s1", "x1", "", " "]),
+)
+_WORD = st.sampled_from(["gene", "s1", "id", "name"])
+
+
+class TestLoadMatrixAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        data=st.data(),
+        n_rows=st.integers(1, 6),
+        n_cols=st.integers(1, 6),
+        labels=st.sampled_from(["none", "header", "names", "both", "corner"]),
+        trailing=st.lists(st.sampled_from(["", " ", "\t"]), max_size=2),
+        header=st.sampled_from(["auto", "yes", "no"]),
+        row_names=st.sampled_from(["auto", "yes", "no"]),
+        observations_in_rows=st.booleans(),
+    )
+    def test_matches_cell_by_cell_loader(
+        self, data, n_rows, n_cols, labels, trailing, header, row_names,
+        observations_in_rows,
+    ):
+        grid = data.draw(st.lists(st.lists(_CELL, min_size=n_cols, max_size=n_cols),
+                                  min_size=n_rows, max_size=n_rows))
+        if labels in ("header", "both"):
+            grid[0] = data.draw(st.lists(_WORD, min_size=n_cols, max_size=n_cols))
+        if labels in ("names", "both"):
+            for row in grid:
+                row[0] = data.draw(_WORD)
+        if labels == "corner":  # either one-sided strip may parse; row names go first
+            grid[0][0] = data.draw(_WORD)
+        if data.draw(st.booleans()):  # one ragged row
+            i = data.draw(st.integers(0, n_rows - 1))
+            grid[i] = grid[i][:-1] if data.draw(st.booleans()) else grid[i] + ["1"]
+        text = "\n".join(",".join(row) for row in grid) + "\n"
+        text += "".join(line + "\n" for line in trailing)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            path.write_text(text)
+            kwargs = dict(header=header, row_names=row_names,
+                          observations_in_rows=observations_in_rows)
+            assert _outcome(load_matrix, path, **kwargs) == \
+                _outcome(reference.load_matrix, path, **kwargs)
+
+    def test_corner_word_strips_row_names_first(self, tmp_path):
+        # Stripping the header row or the row-name column alone would both
+        # parse; the row names go, as the cell-by-cell loader decides.
+        path = tmp_path / "m.csv"
+        path.write_text("id,1,2\n3,4,5\n")
+        with pytest.warns(UserWarning, match="row names"):
+            x = load_matrix(path)
+        np.testing.assert_array_equal(x.values, [[1, 2], [4, 5]])
+        assert _outcome(load_matrix, path) == _outcome(reference.load_matrix, path)
+
+    @pytest.mark.parametrize("text, kwargs, where", [
+        # Header and row names with a bad interior cell: the last choice
+        # tried strips both and reports the interior cell.
+        ("gene,s1,s2\ng1,1,2\ng2,x,4\n", {}, (3, 2)),
+        # A pinned "no header" on a file with one reports the header cell.
+        ("s1,s2\n1,2\n3,4\n", {"header": "no"}, (1, 2)),
+        ("s1,s2\n1,2\n3,4\n", {"header": "no", "row_names": "no"}, (1, 1)),
+        # A blank middle line is a row of zero cells.
+        ("1,2\n\n3,4\n", {}, (2, None)),
+    ])
+    def test_error_coordinates(self, tmp_path, text, kwargs, where):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_matrix(path, **kwargs)
+        assert (exc.value.line, exc.value.column) == where
+        assert _outcome(load_matrix, path, **kwargs) == \
+            _outcome(reference.load_matrix, path, **kwargs)
 
 
 class TestLabelsAndSpectrumFiles:
