@@ -7,7 +7,8 @@ Subcommands:
   tci       print the population cluster index for a spectrum file
 
 Exit codes: 0 success, 2 parse error, 3 invalid data, 4 degenerate
-data/noise, 5 I/O error, 6 bad configuration, 7 other library error.
+data/noise, 5 I/O error, 6 bad configuration, 7 other library error
+(a linear-algebra failure or running out of memory included).
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import argparse
 import csv
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .cluster import theoretical_ci
@@ -272,6 +275,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except SigClustError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_OTHER
+    except (np.linalg.LinAlgError, MemoryError) as err:
+        detail = ": ".join(filter(None, (type(err).__name__, str(err))))
+        print(f"error: {detail}", file=sys.stderr)
         return EXIT_OTHER
 
 

@@ -280,7 +280,8 @@ def run_tests(
     combined null is the per-replication minimum of the hard and soft
     indices. With ``config.labels`` set, the observed index is computed on
     the given partition instead of by 2-means optimization, and the mode
-    is recorded in the report.
+    is recorded in the report. With n = 2 the reports warn that the test
+    cannot reject.
     """
     methods = tuple(methods) if methods is not None else (config.method,)
     for m in methods:
@@ -304,6 +305,11 @@ def run_tests(
         a for m in methods for a in (("hard", "soft") if m == "combined" else (m,))
     ))
     spectra, shared_warnings = estimate_null_spectra(x, arms, config.true_eigenvalues)
+    if x.n == 2:
+        shared_warnings.append(
+            "n=2: every split puts one observation in each cluster, so the observed "
+            "and every null cluster index are 0 and the test cannot reject"
+        )
     null = dict(zip(arms, _simulate([spectra[a] for a in arms], x.n, config)))
     if "combined" in methods:
         spectra["combined"] = (spectra["hard"], spectra["soft"])

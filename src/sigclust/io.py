@@ -2,7 +2,11 @@
 
 Matrices arrive as rectangular numeric CSV files, optionally with a single
 header row and a leading row-name column; both are auto-detected as the
-least stripping that leaves a numeric grid, or pinned explicitly. Reports are
+least stripping that leaves a numeric grid, or pinned explicitly. A plain
+file (ASCII, no quotes, no blank line inside, every row as wide as the
+first) is read by numpy's C reader; every other file, and any plain file
+that reader rejects, goes through the csv module, which defines the cell
+syntax, the warnings and the errors for both. Reports are
 written as JSON with a fixed key order so that two runs with the same seed
 produce byte-identical files apart from the timing field, plus CSV twins
 of the null indices for spreadsheet use.
@@ -11,6 +15,8 @@ of the null indices for spreadsheet use.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 import warnings as _pywarnings
 from dataclasses import asdict, dataclass
@@ -27,6 +33,9 @@ from .spectrum import NullSpectrum
 # Rows or columns each header / row-names choice may strip. Their product,
 # in order, tries the least stripping first and row names before a header.
 _STRIPS = {"auto": (0, 1), "yes": (1,), "no": (0,)}
+# Bytes that keep a file off the C reader: the quote, and the separators
+# U+001C-U+001F, which the C reader strips from a cell and float() does not.
+_NOT_PLAIN = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 @dataclass(frozen=True)
@@ -48,9 +57,60 @@ class RunManifest:
     out_dir: str | None = None
 
 
-def _read_rows(path) -> list[list[str]]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+def _floats(cells) -> bool:
+    """Whether ``float`` accepts every cell."""
+    try:
+        list(map(float, cells))
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_plain(data: bytes, choices):
+    """(values, h, r) read by numpy's C reader, or None to use the csv path.
+
+    The header / row-names choice is the first whose first grid row
+    ``float`` accepts; an earlier choice fails on that row in the csv path
+    too. The reader then runs only on files where it agrees with the csv
+    path: ASCII, no byte of ``_NOT_PLAIN``, no blank first line, and as
+    many commas as lines x (width - 1). A blank line inside the data, which
+    the reader skips and the csv path reports, shows as a short row count.
+    """
+    if not data.isascii() or any(c in data for c in _NOT_PLAIN):
+        return None
+    end = len(data)
+    while end and data[end - 1] in b" \t\n\r\x0b\x0c":
+        end -= 1  # trailing blank lines, which the csv path drops
+    if not end or data[0] in b"\r\n":
+        return None  # no data, or a blank first line
+    lines = data.count(b"\n", 0, end) + 1
+    if b"\r" in data:
+        lines += data.count(b"\r", 0, end) - data.count(b"\r\n", 0, end)
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline="")
+    first_rows = [stream.readline().rstrip("\r\n").split(",") for _ in range(2)]
+    width = len(first_rows[0])
+    for h, r in choices:
+        if h < lines and r < width and _floats(first_rows[h][r:]):
+            break
+    else:
+        return None
+    if data.count(b",", 0, end) != lines * (width - 1):
+        return None  # a ragged row, which usecols alone would not catch
+    stream.seek(0)
+    try:
+        values = np.loadtxt(
+            itertools.islice(stream, lines), dtype=np.float64, delimiter=",",
+            comments=None, ndmin=2, skiprows=h, usecols=range(r, width) if r else None,
+        )
+    except ValueError:
+        return None
+    if values.shape != (lines - h, width - r):
+        return None  # the C reader skipped a blank line
+    return values, h, r
+
+
+def _read_rows(path, data: bytes) -> list[list[str]]:
+    rows = list(csv.reader(io.TextIOWrapper(io.BytesIO(data), newline="")))
     while rows and len(rows[-1]) <= 1 and not "".join(rows[-1]).strip():
         rows.pop()  # tolerate trailing blank lines
     if not rows:
@@ -64,15 +124,48 @@ def _read_rows(path) -> list[list[str]]:
     return rows
 
 
+def _grid_values(grid) -> np.ndarray:
+    """One conversion of a grid of cell strings, as ``float`` reads each."""
+    return np.array(grid, dtype=np.float64)
+
+
 def _first_bad_cell(rows, r0, c0):
-    """1-based file coordinates of the first cell of the grid that float() rejects."""
+    """0-based file coordinates of the first cell of the grid that float() rejects."""
     for i, row in enumerate(rows[r0:], start=r0):
-        for j, cell in enumerate(row[c0:], start=c0):
-            try:
-                float(cell)
-            except ValueError:
-                return i + 1, j + 1
-    return r0 + 1, c0 + 1  # the grid is empty
+        if not _floats(row[c0:]):
+            return i, next(j for j in range(c0, len(row)) if not _floats(row[j:j + 1]))
+    return r0, c0  # the grid is empty
+
+
+def _parse_csv(path, data: bytes, choices):
+    """(values, h, r) read with the csv module, or the ParseError a file gets.
+
+    A choice whose first grid row fails, or whose grid holds a known bad
+    cell, fails without a conversion. The last grid, whose first bad cell
+    the error names, is a subgrid of every other; so when it holds the
+    first bad cell of the first grid that failed, that is its own first bad
+    cell, and no second walk is needed.
+    """
+    rows = _read_rows(path, data)
+    bad = None  # first bad cell of the first grid that failed
+    for h, r in choices:
+        if len(rows) <= h or len(rows[0]) <= r or not _floats(rows[h][r:]):
+            continue  # nothing left to parse, or the first grid row fails
+        if bad is not None and bad[0] >= h and bad[1] >= r:
+            continue  # the grid holds a known bad cell
+        try:
+            return _grid_values([row[r:] for row in rows[h:]] if r else rows[h:]), h, r
+        except ValueError:
+            bad = bad or _first_bad_cell(rows, h, r)
+    h, r = choices[-1]
+    if bad is None or bad[0] < h or bad[1] < r:
+        bad = _first_bad_cell(rows, h, r)
+    line, column = bad[0] + 1, bad[1] + 1
+    raise ParseError(
+        f"{path}: non-numeric cell at row {line}, column {column}",
+        line=line,
+        column=column,
+    )
 
 
 def load_matrix(
@@ -89,33 +182,25 @@ def load_matrix(
     Ragged rows and non-numeric cells raise :class:`ParseError` with 1-based
     file coordinates; NaN or infinite values parse but raise
     :class:`InvalidDataError`.
+
+    A plain file (ASCII, unquoted, no blank line inside, every row as wide
+    as the first) is read by numpy's C reader, the faster path; any other
+    file, or one that reader rejects, is read by the csv module. Both give
+    the same values, warnings and errors.
     """
     if header not in _STRIPS or row_names not in _STRIPS:
         raise InvalidConfigError('header and row_names must be "auto", "yes", or "no"')
-    rows = _read_rows(path)
-
-    combos = [(h, r) for h in _STRIPS[header] for r in _STRIPS[row_names]]
-    for h, r in combos:
-        if len(rows) <= h or len(rows[0]) <= r:
-            continue  # nothing left to parse
-        grid = [row[1:] for row in rows[h:]] if r else rows[h:]
-        try:
-            values = np.array(grid, dtype=np.float64)
-        except ValueError:
-            continue
-        if header == "auto" and h:
-            _pywarnings.warn(f"{path}: treating the first row as a header")
-        if row_names == "auto" and r:
-            _pywarnings.warn(f"{path}: treating the first column as row names")
-        if observations_in_rows:
-            values = values.T
-        return DataMatrix(values)
-    line, column = _first_bad_cell(rows, h, r)
-    raise ParseError(
-        f"{path}: non-numeric cell at row {line}, column {column}",
-        line=line,
-        column=column,
-    )
+    with open(path, "rb") as fh:
+        data = fh.read()
+    choices = [(h, r) for h in _STRIPS[header] for r in _STRIPS[row_names]]
+    values, h, r = _parse_plain(data, choices) or _parse_csv(path, data, choices)
+    if header == "auto" and h:
+        _pywarnings.warn(f"{path}: treating the first row as a header")
+    if row_names == "auto" and r:
+        _pywarnings.warn(f"{path}: treating the first column as row names")
+    if observations_in_rows:
+        values = values.T
+    return DataMatrix(values)
 
 
 def load_labels(path, n: int) -> np.ndarray:

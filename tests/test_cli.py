@@ -14,6 +14,7 @@ from sigclust.cli import (
     EXIT_INVALID_DATA,
     EXIT_IO,
     EXIT_OK,
+    EXIT_OTHER,
     EXIT_PARSE,
     main,
 )
@@ -83,6 +84,20 @@ def test_exit_code_degenerate(tmp_path, capsys):
 
 def test_exit_code_missing_file(tmp_path, capsys):
     assert main(["test", str(tmp_path / "nope.csv"), "--nsim", "100"]) == EXIT_IO
+
+
+@pytest.mark.parametrize("failure", [
+    np.linalg.LinAlgError("SVD did not converge"), MemoryError(),
+])
+def test_exit_code_linalg_and_memory_failures(matrix_file, capsys, monkeypatch, failure):
+    def fail(x):
+        raise failure
+
+    monkeypatch.setattr("sigclust.engine.sample_spectrum", fail)
+    assert main(["test", str(matrix_file), "--nsim", "100", "--seed", "1"]) == EXIT_OTHER
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {type(failure).__name__}")
+    assert "Traceback" not in err
 
 
 def test_exit_code_bad_config(matrix_file, capsys):
@@ -205,7 +220,12 @@ def test_two_observations_combined(tmp_path, capsys):
     path = _write_matrix(tmp_path / "n2.csv", np.random.default_rng(5).normal(size=(6, 2)))
     code = main(["test", str(path), "--method", "combined", "--nsim", "100", "--seed", "1"])
     assert code == EXIT_OK
-    assert "d=6 n=2" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "d=6 n=2" in captured.out
+    assert any(
+        line.startswith("warning: ") and "cannot reject" in line
+        for line in captured.err.splitlines()
+    )
 
 
 def test_one_variable_hard(tmp_path, capsys):

@@ -24,6 +24,7 @@ from sigclust import (
     load_matrix,
     run_test,
 )
+import sigclust.io as sigclust_io
 from sigclust.io import load_eigenvalue_file, load_labels, report_to_dict
 
 
@@ -200,6 +201,151 @@ class TestLoadMatrixAgainstReference:
         assert (exc.value.line, exc.value.column) == where
         assert _outcome(load_matrix, path, **kwargs) == \
             _outcome(reference.load_matrix, path, **kwargs)
+
+
+_ENDING = st.sampled_from(["\n", "\r\n", "\r"])
+_PAD = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"])
+_ODD_CELL = st.sampled_from([
+    "#", "#1", "1#", "\u0661", "\u0661.5", "1\u00a0", "\u00a01", "\u20032", "\ufeff1",
+    "1_0", "nan", "1e400", "", " ", "1\x00", '"', '1"2', "0x10", "+.5",
+])
+_PLAIN_CELL = st.tuples(st.sampled_from(["", " ", "\t"]), _NUMBER,
+                        st.sampled_from(["", " ", "\t "])).map("".join)
+_ANY_CELL = st.one_of(
+    _NUMBER,
+    st.tuples(_PAD, _NUMBER, _PAD).map("".join),
+    _NUMBER.map(lambda v: f'"{v}"'),
+    _ODD_CELL,
+)
+_LABEL = st.sampled_from(["gene", "s1", "id", '"name"', "g\u00e8ne"])
+_BLANK = st.sampled_from(["", " ", "\t", "\x0b"])
+
+
+def _csv_only(path, **kwargs):
+    """load_matrix with the C reader switched off: the csv path alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sigclust_io, "_parse_plain", lambda data, choices: None)
+        return load_matrix(path, **kwargs)
+
+
+class TestPlainReaderAgainstCsvPath:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        data=st.data(),
+        n_rows=st.integers(1, 4),
+        n_cols=st.integers(1, 4),
+        plain=st.booleans(),
+        labels=st.sampled_from(["none", "header", "names", "both", "corner"]),
+        header=st.sampled_from(["auto", "yes", "no"]),
+        row_names=st.sampled_from(["auto", "yes", "no"]),
+        observations_in_rows=st.booleans(),
+    )
+    def test_matches_csv_path(
+        self, data, n_rows, n_cols, plain, labels, header, row_names,
+        observations_in_rows,
+    ):
+        # Plain files go to the C reader unless their structure sends them
+        # to the csv path; the rest test that they are sent there.
+        cell, label = (_PLAIN_CELL, _WORD) if plain else (_ANY_CELL, _LABEL)
+        grid = data.draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols),
+                                  min_size=n_rows, max_size=n_rows))
+        if labels in ("header", "both"):
+            grid[0] = data.draw(st.lists(label, min_size=n_cols, max_size=n_cols))
+        if labels in ("names", "both"):
+            for row in grid:
+                row[0] = data.draw(label)
+        if labels == "corner":
+            grid[0][0] = data.draw(label)
+        if data.draw(st.booleans()):  # one ragged row, under any labels
+            i = data.draw(st.integers(0, n_rows - 1))
+            grid[i] = grid[i][:-1] if data.draw(st.booleans()) else grid[i] + ["1"]
+        lines = [",".join(row) for row in grid]
+        if data.draw(st.booleans()):  # a blank or whitespace-only interior line
+            lines.insert(data.draw(st.integers(0, len(lines))), data.draw(_BLANK))
+        lines += data.draw(st.lists(_BLANK, max_size=2))  # trailing blank lines
+        ending = data.draw(_ENDING)
+        text = "".join(line + data.draw(st.one_of(st.just(ending), _ENDING))
+                       for line in lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            path.write_bytes(text.encode())
+            kwargs = dict(header=header, row_names=row_names,
+                          observations_in_rows=observations_in_rows)
+            assert _outcome(load_matrix, path, **kwargs) == \
+                _outcome(_csv_only, path, **kwargs)
+
+    @pytest.mark.parametrize("text", [
+        "1\n\n2\n",  # a blank line the C reader would skip, with no comma to miss
+        "g1,1\n\ng2,2,3\n",  # a blank line and an extra cell, commas balanced
+        "\r\n1\r\n2\r\n",  # a blank first line taken for the header
+        "g1,1,2\ng2,3,4,5\n",  # an extra cell that usecols would drop
+        "g1,1,2\ng2,3\n",
+        "1,2\n \n3,4\n",
+        "1,\x1c2\n3,4\n",
+        '1,"2"\n3,4\n',
+        "1,2\n3,4\n \n\x0b\n",
+    ])
+    def test_structure_the_c_reader_misreads(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        for kwargs in ({}, {"observations_in_rows": True}):
+            assert _outcome(load_matrix, path, **kwargs) == \
+                _outcome(_csv_only, path, **kwargs)
+
+    @pytest.mark.parametrize("text, want, strips", [
+        ("1,2,3\n4,5,6\n", [[1, 2, 3], [4, 5, 6]], 0),
+        ("s1,s2,s3\n1,2,3\n4,5,6\n", [[1, 2, 3], [4, 5, 6]], 1),
+        ("g1,1,2\ng2,3,4\n", [[1, 2], [3, 4]], 1),
+        ("gene,s1,s2\ng1,1,2\ng2,3,4\n\n", [[1, 2], [3, 4]], 2),
+        ("1,2\r\n3,4\r\n", [[1, 2], [3, 4]], 0),
+        (",V1,V2\ng1,1,2\ng2,3,4\n", [[1, 2], [3, 4]], 2),  # R, quote = FALSE
+    ])
+    def test_plain_files_take_the_c_reader(self, tmp_path, monkeypatch, text, want, strips):
+        def no_csv(*args):
+            raise AssertionError("a plain file fell through to the csv path")
+
+        monkeypatch.setattr(sigclust_io, "_parse_csv", no_csv)
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x = load_matrix(path)
+        np.testing.assert_array_equal(x.values, want)
+        assert len(caught) == strips
+
+
+class TestFailFast:
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        calls = []
+        real = sigclust_io._grid_values
+
+        def spy(grid):
+            calls.append(len(grid))
+            return real(grid)
+
+        monkeypatch.setattr(sigclust_io, "_grid_values", spy)
+        return calls
+
+    def test_bad_interior_cell_converts_one_grid(self, tmp_path, conversions):
+        path = tmp_path / "m.csv"
+        path.write_text("gene,s1,s2\ng1,1,2\ng2,x,4\ng3,5,6\n")
+        with pytest.raises(ParseError) as exc:
+            load_matrix(path)
+        assert (exc.value.line, exc.value.column) == (3, 2)
+        assert len(conversions) == 1
+        assert _outcome(load_matrix, path) == _outcome(reference.load_matrix, path)
+
+    def test_bad_cell_outside_a_later_grid_still_tries_it(self, tmp_path, conversions):
+        # The bad cell sits in the first column, so stripping it as row
+        # names is still tried, and it parses.
+        path = tmp_path / "m.csv"
+        path.write_text("1,2,3\nx,5,6\n7,8,9\n")
+        with pytest.warns(UserWarning, match="row names"):
+            x = load_matrix(path)
+        np.testing.assert_array_equal(x.values, [[2, 3], [5, 6], [8, 9]])
+        assert len(conversions) == 2
+        assert _outcome(load_matrix, path) == _outcome(reference.load_matrix, path)
 
 
 class TestLabelsAndSpectrumFiles:
