@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 parse error, 3 invalid data, 4 degenerate
 data/noise, 5 I/O error, 6 bad configuration, 7 other library error
-(a linear-algebra failure or running out of memory included).
+(a linear-algebra failure, running out of memory or a worker process
+dying included), 130 interrupted.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import warnings
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +58,7 @@ EXIT_DEGENERATE = 4
 EXIT_IO = 5
 EXIT_CONFIG = 6
 EXIT_OTHER = 7
+EXIT_INTERRUPTED = 130
 
 
 def _add_matrix_args(parser):
@@ -254,8 +258,18 @@ def _cmd_tci(args) -> int:
     return EXIT_OK
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        return _run(args)
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except ParseError as err:
@@ -280,6 +294,12 @@ def main(argv=None) -> int:
         detail = ": ".join(filter(None, (type(err).__name__, str(err))))
         print(f"error: {detail}", file=sys.stderr)
         return EXIT_OTHER
+    except BrokenProcessPool as err:
+        print(f"error: a worker process died: {err}", file=sys.stderr)
+        return EXIT_OTHER
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def main_entry() -> None:  # console-script entry point

@@ -14,9 +14,11 @@ only through the n-by-n Gram matrix ``G = XcᵀXc`` of the centered columns.
 The 2-means search therefore runs as kernel k-means on ``G`` (Dhillon, Guan
 and Kulis, KDD 2004): with ``w_k`` cluster k's indicator divided by its
 size, the margin ``G(w1 - w2) - (w1ᵀGw1 - w2ᵀGw2) / 2`` is the difference
-of squared distances to the two centroids, and one ``G @ [W1 W2]`` product
-per sweep advances every restart at once. The observed statistic and the
-null replications share this one kernel.
+of squared distances to the two centroids. The kernel runs on a stack of
+Gram matrices (one per null replication and arm, or a stack of one for
+the observed statistic): one batched ``G @ [W1 W2]`` product per sweep
+advances every restart of every element still moving. The observed
+statistic and the null replications share this one kernel.
 """
 
 from __future__ import annotations
@@ -127,63 +129,97 @@ def _start_pairs(n: int, restarts: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return i, j + (j >= i)  # uniform over distinct pairs
 
 
-def _refill_empty(in2: np.ndarray, far: int) -> None:
+def _refill_empty(in2: np.ndarray, far: np.ndarray) -> None:
     # An emptied cluster takes the point farthest from the surviving
     # centroid, which is then the grand mean: the point of largest G_ii.
-    n2 = in2.sum(axis=0)
-    in2[far, n2 == in2.shape[0]] = False
-    in2[far, n2 == 0] = True
+    n2 = in2.sum(axis=2)
+    for size, fill in ((in2.shape[2], False), (0, True)):
+        elem, restart = np.nonzero(n2 == size)
+        in2[elem, restart, far[elem]] = fill
 
 
-def _centroid_terms(gram: np.ndarray, in2: np.ndarray):
-    """``(G w1, G w2)`` and ``(w1ᵀG w1, w2ᵀG w2)`` per restart.
+def _centroid_terms(grams: np.ndarray, in2: np.ndarray):
+    """``G w1``, ``G w2`` (M, n, R) and ``w1ᵀG w1``, ``w2ᵀG w2`` (M, R).
 
-    Column r of ``in2`` marks cluster 2 of restart r; cluster k's centroid
-    is ``Xc @ w_k`` with ``w_k`` its indicator divided by its size.
+    ``in2`` (M, R, n) marks cluster 2 of restart r of element e at
+    ``in2[e, r]``; cluster k's centroid is ``Xc @ w_k`` with ``w_k`` its
+    indicator divided by its size. One stacked product serves every
+    element and restart. BLAS rounds the product by the weights' memory
+    layout, so each element's (n, 2R) weights are column-major, or
+    row-major for R = 1; the pinned null indices (``test_null_stream_pin``)
+    depend on these layouts.
     """
-    n2 = in2.sum(axis=0)
-    w = np.concatenate([~in2 / (in2.shape[0] - n2), in2 / n2], axis=1)
-    gw = gram @ w
-    return np.hsplit(gw, 2), np.split((w * gw).sum(axis=0), 2)
+    r, n = in2.shape[1:]
+    n2 = in2.sum(axis=2, keepdims=True)
+    inv = np.concatenate([1.0 / (n - n2), 1.0 / n2], axis=1)  # 1 * (1/k) == 1/k exactly
+    w = (np.concatenate([~in2, in2], axis=1) * inv).transpose(0, 2, 1)
+    if r == 1:
+        w = np.ascontiguousarray(w)
+    gw = grams @ w
+    sq = (w * gw).sum(axis=1)
+    return gw[..., :r], gw[..., r:], sq[:, :r], sq[:, r:]
 
 
-def _lloyd_batch(gram: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Final cluster-2 memberships (n by R) of one Lloyd run per start pair.
+def _lloyd(grams: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Final cluster-2 memberships (M, R, n) of one Lloyd run per start pair.
 
-    All restarts advance together, one ``G @ [W1 W2]`` product per sweep;
-    a restart whose labels stop changing leaves the active set, and none
-    runs more than ``MAX_LLOYD_ITER`` sweeps.
+    ``grams`` stacks M centred Gram matrices and ``first``/``second`` (M, R)
+    hold each element's start pairs. Each sweep advances every restart
+    still moving with one batched product: an element's moving restarts
+    are packed to the front of its slot, padded to the largest count. A
+    restart whose labels stop changing is done, and none runs more than
+    ``MAX_LLOYD_ITER`` sweeps. Elements with no moving restart leave the
+    stack once they are half of it.
     """
-    diag = np.diagonal(gram)
-    far = int(np.argmax(diag))
+    m, r = first.shape
+    diag = np.diagonal(grams, axis1=1, axis2=2)
+    far = np.argmax(diag, axis=1)
+    d1 = np.take_along_axis(diag, first, axis=1)[:, None, :]
+    d2 = np.take_along_axis(diag, second, axis=1)[:, None, :]
     # margin g > 0 means closer to centroid 1; initial ties go to cluster 1
-    g = gram[:, first] - gram[:, second] - 0.5 * (diag[first] - diag[second])
-    in2 = g < 0.0
-    active = np.arange(first.size)
+    g = (np.take_along_axis(grams, first[:, None, :], axis=2)
+         - np.take_along_axis(grams, second[:, None, :], axis=2) - 0.5 * (d1 - d2))
+    in2 = np.ascontiguousarray((g < 0.0).transpose(0, 2, 1))
+    moving = np.ones((m, r), dtype=bool)
+    elems, stack = np.arange(m), grams
     for _ in range(MAX_LLOYD_ITER):
-        cur = in2[:, active]
-        _refill_empty(cur, far)
-        (gw1, gw2), (sq1, sq2) = _centroid_terms(gram, cur)
-        g = gw1 - gw2 - 0.5 * (sq1 - sq2)
+        live = moving[elems]
+        counts = live.sum(axis=1)
+        width = int(counts.max())
+        slot = np.argsort(~live, axis=1, kind="stable")[:, :width]  # moving first
+        real = np.arange(width) < counts[:, None]
+        slot = np.where(real, slot, slot[:, :1])
+        rows = np.broadcast_to(elems[:, None], slot.shape)
+        cur = in2[rows, slot]
+        _refill_empty(cur, far[elems])
+        gw1, gw2, sq1, sq2 = _centroid_terms(stack, cur)
+        g = (gw1 - gw2 - 0.5 * (sq1 - sq2)[:, None, :]).transpose(0, 2, 1)
         new = (g < 0.0) | ((g == 0.0) & cur)  # ties keep their label
-        in2[:, active] = new
-        active = active[(new != cur).any(axis=0)]
-        if not active.size:
+        in2[rows[real], slot[real]] = new[real]
+        moving[elems] = False
+        moved = real & (new != cur).any(axis=2)
+        moving[rows[moved], slot[moved]] = True
+        alive = moved.any(axis=1)
+        if not alive.any():
             break
+        if 2 * alive.sum() <= len(elems):
+            elems, stack = elems[alive], stack[alive]
     _refill_empty(in2, far)
     return in2
 
 
-def _best_split(gram: np.ndarray, restarts: int, rng):
-    """Labels (1/2) and wss of the best seeded restart; the first wins ties."""
-    n = gram.shape[0]
-    in2 = _lloyd_batch(gram, *_start_pairs(n, restarts, rng))
-    n2 = in2.sum(axis=0)
-    _, (sq1, sq2) = _centroid_terms(gram, in2)
+def _best_splits(grams: np.ndarray, first: np.ndarray, second: np.ndarray):
+    """Cluster-2 membership (M, n) and wss (M,) of each element's best
+    restart; the first restart wins ties."""
+    in2 = _lloyd(grams, first, second)
+    n2 = in2.sum(axis=2)
+    _, _, sq1, sq2 = _centroid_terms(grams, in2)
     # wss via the centroid identity; clamp round-off below zero
-    wss = np.maximum(np.trace(gram) - (n - n2) * sq1 - n2 * sq2, 0.0)
-    best = int(np.argmin(wss))
-    return np.where(in2[:, best], 2, 1), float(wss[best])
+    trace = np.trace(grams, axis1=1, axis2=2)[:, None]
+    wss = np.maximum(trace - (in2.shape[2] - n2) * sq1 - n2 * sq2, 0.0)
+    best = np.argmin(wss, axis=1)
+    elem = np.arange(len(grams))
+    return in2[elem, best], wss[elem, best]
 
 
 def two_means_ci(x: DataMatrix, restarts: int = 20, seed=None) -> ClusterSplit:
@@ -195,35 +231,21 @@ def two_means_ci(x: DataMatrix, restarts: int = 20, seed=None) -> ClusterSplit:
     A point equidistant from both centroids keeps its current label, and an
     emptied cluster is refilled with the point farthest from the surviving
     centroid. The sweeps run in kernel form on the n-by-n Gram matrix of
-    the centered observations, all restarts at once; the winning split's
-    wss is then recomputed directly from the data. The returned index is
-    an upper bound on the global optimum and is deterministic given the
-    seed.
+    the centered observations, in the null's stacked kernel as a stack of
+    one; the winning split's wss is then recomputed directly from the
+    data. The returned index is an upper bound on the global optimum and
+    is deterministic given the seed.
     """
     if restarts < 1:
         raise InvalidConfigError("restarts must be >= 1")
     tss = _tss(x.values)
     if tss <= 0.0:
         raise DegenerateDataError("total sum of squares is zero; no cluster structure")
-    labels, _ = _best_split(_gram(x.values), restarts, as_generator(seed))
+    first, second = _start_pairs(x.n, restarts, as_generator(seed))
+    in2, _ = _best_splits(_gram(x.values)[None], first[None], second[None])
+    labels = np.where(in2[0], 2, 1)
     wss = _wss(x.values, labels)  # recompute in the well-conditioned direct form
     return ClusterSplit(labels=labels, wss=wss, tss=tss, ci=wss / tss)
-
-
-def two_means_index(values: np.ndarray, restarts: int, rng) -> float:
-    """Cluster index of the best seeded 2-means split of a raw d-by-n array.
-
-    Fast path for the simulation engine: skips DataMatrix validation, and
-    runs the same Gram-form kernel as :func:`two_means_ci`, taking both
-    the wss and the total sum of squares (the Gram trace) from the Gram
-    matrix.
-    """
-    gram = _gram(values)
-    tss = float(np.trace(gram))
-    if tss <= 0.0:
-        raise DegenerateDataError("total sum of squares is zero; no cluster structure")
-    _, wss = _best_split(gram, restarts, rng)
-    return wss / tss
 
 
 def two_means_exhaustive(x: DataMatrix) -> ClusterSplit:

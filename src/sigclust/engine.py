@@ -15,23 +15,34 @@ count and whichever other arms are simulated alongside, and all arms
 simulated in one run (the combined method's hard and soft arms among
 them) share both the Gaussian draw and the k-means seeding within each
 replication.
+
+Replications run in blocks, and a worker pool maps over blocks. A block
+stacks the Gram matrices of all its (replication, arm) elements and runs
+their 2-means together, one batched product per Lloyd sweep. Its size
+comes from a byte budget of Gram matrices (``_BLOCK_BYTES``), never from
+the worker count, and no element's result depends on the rest of its
+block.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.stats import norm
 
 from ._streams import NULL_REP, OBSERVED, as_generator, stream
-from .cluster import cluster_index_for_labels, two_means_ci, two_means_index
-from .errors import InvalidConfigError, InvalidSpectraError, NoTraceSolutionError
+from .cluster import _best_splits, _gram, _start_pairs, cluster_index_for_labels, two_means_ci
+from .errors import (
+    DegenerateDataError,
+    InvalidConfigError,
+    InvalidSpectraError,
+    NoTraceSolutionError,
+)
 from .linalg import DataMatrix, sample_spectrum
 from .spectrum import (
     NullSpectrum,
@@ -46,6 +57,8 @@ METHODS = ("true", "sample", "hard", "soft", "combined")
 DEFAULT_N_SIM = 1000
 DEFAULT_RESTARTS_NULL = 20
 DEFAULT_RESTARTS_OBSERVED = 100
+_BLOCK_BYTES = 1 << 20  # Gram matrices per block; 2 MB ran no faster and used more memory
+_BLOCK_REPS = 64  # bounds the block's restart arrays when n is small
 
 
 @dataclass(frozen=True)
@@ -161,6 +174,11 @@ def _compact_plan(spectra, n):
     return d, k, heads, floors
 
 
+@lru_cache(maxsize=8)
+def _upper(n):
+    return np.triu_indices(n, 1)
+
+
 def _bulk_factor(rng, m, n):
     """B with BᵀB ~ Wishart_n(m, I): m dense normal rows when m <= n, else
     the n-by-n upper Bartlett triangle (normals above the diagonal,
@@ -168,7 +186,7 @@ def _bulk_factor(rng, m, n):
     if m <= n:
         return rng.standard_normal((m, n))
     b = np.zeros((n, n))
-    b[np.triu_indices(n, 1)] = rng.standard_normal(n * (n - 1) // 2)
+    b[_upper(n)] = rng.standard_normal(n * (n - 1) // 2)
     b[np.diag_indices(n)] = np.sqrt(rng.chisquare(m - np.arange(n)))
     return b
 
@@ -196,30 +214,49 @@ def _factors(plan, n, rng):
     return factors
 
 
-def _replication_cis(plan, n, master_seed, rep, restarts):
-    # One draw per replication; every arm reuses the same k-means seeding.
-    gauss_seq, km_seq = stream(master_seed, NULL_REP, int(rep)).spawn(2)
-    return [
-        two_means_index(f, restarts, as_generator(km_seq))
-        for f in _factors(plan, n, as_generator(gauss_seq))
-    ]
+def _block_cis(plan, n, master_seed, restarts, reps):
+    """Null indices (len(reps), arms) of the replications ``reps``.
+
+    Each replication draws its factors and one set of start pairs from its
+    own streams; every arm reuses the start pairs, and the 2-means of
+    every (replication, arm) element runs in one stacked kernel.
+    """
+    arms = len(plan[2])
+    grams = np.empty((len(reps) * arms, n, n))
+    starts = np.empty((2, len(reps) * arms, restarts), dtype=np.intp)
+    for b, rep in enumerate(reps):
+        gauss_seq, km_seq = stream(master_seed, NULL_REP, rep).spawn(2)
+        elems = slice(b * arms, (b + 1) * arms)
+        starts[:, elems] = np.stack(_start_pairs(n, restarts, as_generator(km_seq)))[:, None]
+        for e, f in enumerate(_factors(plan, n, as_generator(gauss_seq)), b * arms):
+            grams[e] = _gram(f)
+    tss = np.trace(grams, axis1=1, axis2=2)
+    if np.any(tss <= 0.0):
+        raise DegenerateDataError("total sum of squares is zero; no cluster structure")
+    _, wss = _best_splits(grams, *starts)
+    return (wss / tss).reshape(len(reps), arms)
+
+
+def _block_size(n, arms):
+    """Replications per block: about ``_BLOCK_BYTES`` of Gram matrices, at
+    most ``_BLOCK_REPS``; independent of the worker count."""
+    return max(1, min(_BLOCK_REPS, _BLOCK_BYTES // (8 * n * n * arms)))
 
 
 def _simulate(spectra, n, config):
     """Null indices of every arm in ``spectra``, from one shared pass."""
     plan = _compact_plan(spectra, n)
-    one_rep = partial(
-        _replication_cis, plan, n, config.master_seed, restarts=config.restarts_null
-    )
+    size = _block_size(n, len(spectra))
+    blocks = [range(s, min(s + size, config.n_sim)) for s in range(0, config.n_sim, size)]
+    one_block = partial(_block_cis, plan, n, config.master_seed, config.restarts_null)
     if config.workers <= 1:
-        rows = list(map(one_rep, range(config.n_sim)))
+        rows = list(map(one_block, blocks))
     else:
         # Executor.map yields in input order, so rows stay in replication
         # order for any worker count.
-        chunk = math.ceil(config.n_sim / (4 * config.workers))
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(one_rep, range(config.n_sim), chunksize=chunk))
-    cis = np.asarray(rows, dtype=np.float64)
+            rows = list(pool.map(one_block, blocks))
+    cis = np.concatenate(rows)
     return tuple(cis[:, k].copy() for k in range(len(spectra)))
 
 
@@ -229,9 +266,12 @@ def simulate_null_cis(spectrum: NullSpectrum, n: int, config: TestConfig) -> np.
     Replication r draws, from the stream keyed by (master_seed, r), the
     K = min(d, n) leading rows sqrt(lambda_j) * z_j of the null data and a
     factor of the d - K flat rows with the same Gram law (a Bartlett
-    triangle when d - K > n), and runs seeded 2-means with ``restarts_null`` restarts on
-    the stacked factor. Output is ordered by replication index and is
-    identical for any worker count.
+    triangle when d - K > n), and runs seeded 2-means with
+    ``restarts_null`` restarts on the Gram matrix of the stacked factor.
+    Replications run in blocks sized from a byte budget of Gram matrices
+    that does not depend on the worker count, one batched product per
+    Lloyd sweep per block. Output is ordered by replication index and is
+    identical for any worker count and block size.
     """
     return _simulate((spectrum,), n, config)[0]
 

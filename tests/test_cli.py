@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import sigclust
 from sigclust.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
+    EXIT_INTERRUPTED,
     EXIT_INVALID_DATA,
     EXIT_IO,
     EXIT_OK,
@@ -247,3 +249,47 @@ def test_soft_flat_fallback_warns_on_stderr(tmp_path, capsys):
         line.startswith("warning: ") and "flat spectrum" in line
         for line in err.splitlines()
     )
+
+
+def test_load_matrix_warnings_are_warning_lines(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    rows = [",".join(["gene"] + [f"s{j}" for j in range(10)])]
+    rows += [",".join([f"g{i}"] + [repr(float(v)) for v in rng.normal(size=10)])
+             for i in range(6)]
+    path = tmp_path / "named.csv"
+    path.write_text("\n".join(rows) + "\n")
+    code = main(["test", str(path), "--method", "hard", "--nsim", "100", "--seed", "1"])
+    assert code == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"warning: {path}: treating the first row as a header",
+        f"warning: {path}: treating the first column as row names",
+    ]
+    assert "UserWarning" not in err
+
+
+@pytest.mark.parametrize("failure,code,message", [
+    (BrokenProcessPool("a child process terminated abruptly"), EXIT_OTHER,
+     "error: a worker process died: a child process terminated abruptly"),
+    (KeyboardInterrupt(), EXIT_INTERRUPTED, "error: interrupted"),
+])
+def test_pool_failure_and_interrupt(matrix_file, capsys, monkeypatch, failure, code, message):
+    def fail(spectra, n, config):
+        raise failure
+
+    monkeypatch.setattr("sigclust.engine._simulate", fail)
+    argv = ["test", str(matrix_file), "--nsim", "100", "--seed", "1", "--workers", "2"]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message]
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_all_tied_columns_are_degenerate(tmp_path, capsys):
+    # Every column equal (rows differ): the total sum of squares is zero.
+    path = _write_matrix(tmp_path / "tied.csv", np.tile(np.arange(5.0)[:, None], (1, 7)))
+    assert main(["test", str(path), "--nsim", "100", "--seed", "1"]) == EXIT_DEGENERATE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: total sum of squares is zero")
+    assert "Traceback" not in err

@@ -167,22 +167,58 @@ class TestBatchedKernelAgainstReference:
             ref_labels, ref_wss = reference.best_split(
                 values, restarts, np.random.default_rng(seed)
             )
-            gram = cluster._gram(values)
-            starts = cluster._start_pairs(n, restarts, np.random.default_rng(seed))
-            in2 = cluster._lloyd_batch(gram, *starts)
-            index = cluster.two_means_index(values, restarts, np.random.default_rng(seed))
+            gram = cluster._gram(values)[None]
+            first, second = cluster._start_pairs(n, restarts, np.random.default_rng(seed))
+            in2 = cluster._lloyd(gram, first[None], second[None])[0]
+            _, kernel_wss = cluster._best_splits(gram, first[None], second[None])
+            index = kernel_wss[0] / np.trace(gram[0])
             split = two_means_ci(
                 DataMatrix(values), restarts=restarts, seed=np.random.default_rng(seed)
             )
 
         for r, (labels, _) in enumerate(ref_runs):
-            assert _same_split(np.where(in2[:, r], 2, 1), labels, mirror_ok)
+            assert _same_split(np.where(in2[r], 2, 1), labels, mirror_ok)
         tss = cluster._tss(values)
         assert index == pytest.approx(ref_wss / tss, abs=1e-12)
         assert split.ci == pytest.approx(ref_wss / tss, abs=1e-12)
         wss = np.array([w for _, w in ref_runs])
         if np.sum(wss <= ref_wss + 1e-12 * tss) == 1:  # the best wss is unique
             assert _same_split(split.labels, ref_labels, mirror_ok)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 30),
+        restarts=st.integers(1, 12),
+        shapes=st.lists(
+            st.tuples(st.integers(1, 60), st.integers(1, 30), st.integers(0, 2**32 - 1)),
+            min_size=1, max_size=6,
+        ),
+        cap=st.sampled_from([None, 1, 2]),
+    )
+    @example(n=4, restarts=6, shapes=[(3, 2, 0), (5, 4, 1), (1, 1, 2)], cap=None)
+    @example(n=30, restarts=12, shapes=[(60, 30, s) for s in range(6)], cap=1)
+    def test_stack_equals_each_element_alone(self, n, restarts, shapes, cap):
+        # Elements of one stack converge after different numbers of sweeps
+        # (one-distinct-column elements at once), so the stacked run packs
+        # and drops them while the others keep moving.
+        grams, firsts, seconds = [], [], []
+        for d, distinct, seed in shapes:
+            grams.append(cluster._gram(_columns(d, n, distinct, seed)))
+            i, j = cluster._start_pairs(n, restarts, np.random.default_rng(seed))
+            firsts.append(i)
+            seconds.append(j)
+        grams, firsts, seconds = np.array(grams), np.array(firsts), np.array(seconds)
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:
+                mp.setattr(cluster, "MAX_LLOYD_ITER", cap)
+            in2 = cluster._lloyd(grams, firsts, seconds)
+            labels, wss = cluster._best_splits(grams, firsts, seconds)
+            for e in range(len(grams)):
+                one = (grams[e:e + 1], firsts[e:e + 1], seconds[e:e + 1])
+                np.testing.assert_array_equal(in2[e], cluster._lloyd(*one)[0])
+                alone_labels, alone_wss = cluster._best_splits(*one)
+                np.testing.assert_array_equal(labels[e], alone_labels[0])
+                assert wss[e] == alone_wss[0]
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,38 @@ class TestSimulateNullCis:
         a = simulate_null_cis(spec, n=6, config=make_config())
         b = simulate_null_cis(spec, n=6, config=make_config())
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("restarts", [1, 20])
+    def test_block_size_does_not_change_results(self, monkeypatch, restarts):
+        # n = 10 puts many replications in a block by default; a budget of
+        # one byte runs one (replication, arm) element per block.
+        lam = _spiked(40, [9.0, 4.0])
+        hard = NullSpectrum(method="hard", eigenvalues=lam, sigma_n_sq=1.0)
+        wide = NullSpectrum(method="true", eigenvalues=np.linspace(12.0, 0.5, 40))
+        config = make_config(n_sim=150, restarts_null=restarts)
+        assert engine._block_size(10, 2) > 1
+        blocked = engine._simulate((hard, wide), 10, config)
+        single = simulate_null_cis(hard, 10, config)
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", 1)
+        assert engine._block_size(10, 1) == 1
+        np.testing.assert_array_equal(simulate_null_cis(hard, 10, config), single)
+        np.testing.assert_array_equal(blocked[0], single)
+        for a, b in zip(engine._simulate((hard, wide), 10, config), blocked):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("restarts,digest", [
+        (20, "36f57ae8c36fce9ee13f9dd2558be35e20fbb7cfe759ebce09e1b027602a2f6a"),
+        (1, "c5e88140d1a145bed66104e9719df3f30bee898a63bcce17340f71c1179fb49b"),
+    ])
+    def test_null_stream_pin(self, restarts, digest):
+        # Pins the null streams and the 2-means kernel bit for bit, as
+        # computed on x86-64 with OpenBLAS (another BLAS may round the
+        # Gram products differently). A change that moves the null indices
+        # on purpose updates the digests and says so.
+        spec = NullSpectrum(method="true", eigenvalues=np.r_[9.0, 4.0, 2.0, np.ones(27)])
+        config = TestConfig(n_sim=100, master_seed=20240607, restarts_null=restarts)
+        cis = simulate_null_cis(spec, n=9, config=config)
+        assert hashlib.sha256(cis.tobytes()).hexdigest() == digest
 
     def test_worker_count_does_not_change_results(self):
         lam = np.sort(np.random.default_rng(0).uniform(0.5, 5.0, 8))[::-1]
@@ -190,13 +224,13 @@ class TestCompactNullFactor:
 
     def test_factor_rows_do_not_grow_with_d(self, monkeypatch):
         rows = []
-        original = engine.two_means_index
+        original = engine._gram
 
-        def spy(values, restarts, rng):
+        def spy(values):
             rows.append(values.shape[0])
-            return original(values, restarts, rng)
+            return original(values)
 
-        monkeypatch.setattr(engine, "two_means_index", spy)
+        monkeypatch.setattr(engine, "_gram", spy)
         d, n = 20000, 30
         hard = NullSpectrum(method="hard", eigenvalues=_spiked(d, [50.0, 20.0, 9.0, 3.0]),
                             sigma_n_sq=1.0)
