@@ -14,11 +14,13 @@ only through the n-by-n Gram matrix ``G = XcᵀXc`` of the centered columns.
 The 2-means search therefore runs as kernel k-means on ``G`` (Dhillon, Guan
 and Kulis, KDD 2004): with ``w_k`` cluster k's indicator divided by its
 size, the margin ``G(w1 - w2) - (w1ᵀGw1 - w2ᵀGw2) / 2`` is the difference
-of squared distances to the two centroids. The kernel runs on a stack of
-Gram matrices (one per null replication and arm, or a stack of one for
-the observed statistic): one batched ``G @ [W1 W2]`` product per sweep
-advances every restart of every element still moving. The observed
-statistic and the null replications share this one kernel.
+of squared distances to the two centroids. Every term comes from the
+product ``s = in2 @ G`` of the cluster-2 indicators with G and from G's
+row sums t: ``G w2 = s / n2`` and ``G w1 = (t - s) / n1``. The kernel runs
+on a stack of Gram matrices (one per null replication and arm, or a stack
+of one for the observed statistic): one batched product with one row per
+restart advances every restart of every element still moving. The
+observed statistic and the null replications share this one kernel.
 """
 
 from __future__ import annotations
@@ -138,26 +140,27 @@ def _refill_empty(in2: np.ndarray, far: np.ndarray) -> None:
         in2[elem, restart, far[elem]] = fill
 
 
-def _centroid_terms(grams: np.ndarray, in2: np.ndarray):
-    """``G w1``, ``G w2`` (M, n, R) and ``w1ᵀG w1``, ``w2ᵀG w2`` (M, R).
+def _centroid_terms(grams: np.ndarray, rowsums: np.ndarray, in2: np.ndarray):
+    """``G w1``, ``G w2`` (M, R, n) and ``w1ᵀG w1``, ``w2ᵀG w2`` (M, R, 1).
 
     ``in2`` (M, R, n) marks cluster 2 of restart r of element e at
     ``in2[e, r]``; cluster k's centroid is ``Xc @ w_k`` with ``w_k`` its
-    indicator divided by its size. One stacked product serves every
-    element and restart. BLAS rounds the product by the weights' memory
-    layout, so each element's (n, 2R) weights are column-major, or
-    row-major for R = 1; the pinned null indices (``test_null_stream_pin``)
-    depend on these layouts.
+    indicator divided by its size ``n_k``. ``rowsums`` (M, 1, n) holds each
+    G's row sums t. One R-row product ``s = in2 @ G`` gives every term, as
+    G is symmetric: with ``q = in2ᵀs`` and ``in2ᵀt = 1ᵀs``,
+    ``G w2 = s / n2``, ``G w1 = (t - s) / n1``, ``w2ᵀG w2 = q / n2²`` and
+    ``w1ᵀG w1 = (Σt - 2 in2ᵀt + q) / n1²``. Centring makes t zero only up
+    to round-off, which grows with the data's distance from the origin, so
+    t is used as computed and the terms hold for the G at hand.
     """
-    r, n = in2.shape[1:]
-    n2 = in2.sum(axis=2, keepdims=True)
-    inv = np.concatenate([1.0 / (n - n2), 1.0 / n2], axis=1)  # 1 * (1/k) == 1/k exactly
-    w = (np.concatenate([~in2, in2], axis=1) * inv).transpose(0, 2, 1)
-    if r == 1:
-        w = np.ascontiguousarray(w)
-    gw = grams @ w
-    sq = (w * gw).sum(axis=1)
-    return gw[..., :r], gw[..., r:], sq[:, :r], sq[:, r:]
+    mask = in2.astype(np.float64)
+    s = mask @ grams
+    n2 = mask.sum(axis=2, keepdims=True)
+    n1 = in2.shape[2] - n2
+    q = (mask * s).sum(axis=2, keepdims=True)
+    total = rowsums.sum(axis=2, keepdims=True)
+    sq1 = (total - 2.0 * s.sum(axis=2, keepdims=True) + q) / (n1 * n1)
+    return (rowsums - s) / n1, s / n2, sq1, q / (n2 * n2)
 
 
 def _lloyd(grams: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -174,14 +177,14 @@ def _lloyd(grams: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarr
     m, r = first.shape
     diag = np.diagonal(grams, axis1=1, axis2=2)
     far = np.argmax(diag, axis=1)
-    d1 = np.take_along_axis(diag, first, axis=1)[:, None, :]
-    d2 = np.take_along_axis(diag, second, axis=1)[:, None, :]
+    d1 = np.take_along_axis(diag, first, axis=1)[:, :, None]
+    d2 = np.take_along_axis(diag, second, axis=1)[:, :, None]
     # margin g > 0 means closer to centroid 1; initial ties go to cluster 1
-    g = (np.take_along_axis(grams, first[:, None, :], axis=2)
-         - np.take_along_axis(grams, second[:, None, :], axis=2) - 0.5 * (d1 - d2))
-    in2 = np.ascontiguousarray((g < 0.0).transpose(0, 2, 1))
+    g = (np.take_along_axis(grams, first[:, :, None], axis=1)
+         - np.take_along_axis(grams, second[:, :, None], axis=1) - 0.5 * (d1 - d2))
+    in2 = g < 0.0
     moving = np.ones((m, r), dtype=bool)
-    elems, stack = np.arange(m), grams
+    elems, stack, rowsums = np.arange(m), grams, grams.sum(axis=2)[:, None, :]
     for _ in range(MAX_LLOYD_ITER):
         live = moving[elems]
         counts = live.sum(axis=1)
@@ -192,8 +195,8 @@ def _lloyd(grams: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarr
         rows = np.broadcast_to(elems[:, None], slot.shape)
         cur = in2[rows, slot]
         _refill_empty(cur, far[elems])
-        gw1, gw2, sq1, sq2 = _centroid_terms(stack, cur)
-        g = (gw1 - gw2 - 0.5 * (sq1 - sq2)[:, None, :]).transpose(0, 2, 1)
+        gw1, gw2, sq1, sq2 = _centroid_terms(stack, rowsums, cur)
+        g = gw1 - gw2 - 0.5 * (sq1 - sq2)
         new = (g < 0.0) | ((g == 0.0) & cur)  # ties keep their label
         in2[rows[real], slot[real]] = new[real]
         moving[elems] = False
@@ -203,7 +206,7 @@ def _lloyd(grams: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarr
         if not alive.any():
             break
         if 2 * alive.sum() <= len(elems):
-            elems, stack = elems[alive], stack[alive]
+            elems, stack, rowsums = elems[alive], stack[alive], rowsums[alive]
     _refill_empty(in2, far)
     return in2
 
@@ -213,10 +216,10 @@ def _best_splits(grams: np.ndarray, first: np.ndarray, second: np.ndarray):
     restart; the first restart wins ties."""
     in2 = _lloyd(grams, first, second)
     n2 = in2.sum(axis=2)
-    _, _, sq1, sq2 = _centroid_terms(grams, in2)
+    _, _, sq1, sq2 = _centroid_terms(grams, grams.sum(axis=2)[:, None, :], in2)
     # wss via the centroid identity; clamp round-off below zero
     trace = np.trace(grams, axis1=1, axis2=2)[:, None]
-    wss = np.maximum(trace - (in2.shape[2] - n2) * sq1 - n2 * sq2, 0.0)
+    wss = np.maximum(trace - (in2.shape[2] - n2) * sq1[..., 0] - n2 * sq2[..., 0], 0.0)
     best = np.argmin(wss, axis=1)
     elem = np.arange(len(grams))
     return in2[elem, best], wss[elem, best]

@@ -29,6 +29,8 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -55,6 +57,7 @@ from .spectrum import (
 METHODS = ("true", "sample", "hard", "soft", "combined")
 
 DEFAULT_N_SIM = 1000
+MIN_N_SIM = 100
 DEFAULT_RESTARTS_NULL = 20
 DEFAULT_RESTARTS_OBSERVED = 100
 _BLOCK_BYTES = 1 << 20  # Gram matrices per block; 2 MB ran no faster and used more memory
@@ -92,8 +95,8 @@ class TestConfig:
             raise InvalidConfigError(
                 f"method must be one of {METHODS}, got {self.method!r}"
             )
-        if self.n_sim < 100:
-            raise InvalidConfigError(f"n_sim must be >= 100, got {self.n_sim}")
+        if self.n_sim < MIN_N_SIM:
+            raise InvalidConfigError(f"n_sim must be >= {MIN_N_SIM}, got {self.n_sim}")
         if self.restarts_null < 1 or self.restarts_observed < 1:
             raise InvalidConfigError("restart counts must be >= 1")
         if self.workers < 1:
@@ -243,19 +246,38 @@ def _block_size(n, arms):
     return max(1, min(_BLOCK_REPS, _BLOCK_BYTES // (8 * n * n * arms)))
 
 
+_OPEN_POOL: ContextVar[ProcessPoolExecutor | None] = ContextVar("_OPEN_POOL", default=None)
+
+
+@contextmanager
+def _worker_pool(workers):
+    """The process pool to map blocks on: None for one worker, else the
+    pool already open in this context (``harness.run_grid`` opens one
+    around a grid), else a new one, shut down on exit. A context variable
+    keeps other threads off the pool."""
+    if workers <= 1:
+        yield None
+    elif (pool := _OPEN_POOL.get()) is not None:
+        yield pool
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            token = _OPEN_POOL.set(pool)
+            try:
+                yield pool
+            finally:
+                _OPEN_POOL.reset(token)
+
+
 def _simulate(spectra, n, config):
     """Null indices of every arm in ``spectra``, from one shared pass."""
     plan = _compact_plan(spectra, n)
     size = _block_size(n, len(spectra))
     blocks = [range(s, min(s + size, config.n_sim)) for s in range(0, config.n_sim, size)]
     one_block = partial(_block_cis, plan, n, config.master_seed, config.restarts_null)
-    if config.workers <= 1:
-        rows = list(map(one_block, blocks))
-    else:
+    with _worker_pool(config.workers) as pool:
         # Executor.map yields in input order, so rows stay in replication
         # order for any worker count.
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(one_block, blocks))
+        rows = list((map if pool is None else pool.map)(one_block, blocks))
     cis = np.concatenate(rows)
     return tuple(cis[:, k].copy() for k in range(len(spectra)))
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ._streams import SCENARIO_DATA, SCENARIO_TEST, as_generator, seed_int, stream
-from .engine import METHODS, TestConfig, run_tests
+from .engine import METHODS, MIN_N_SIM, TestConfig, _worker_pool, run_tests
 from .errors import InvalidConfigError, ParseError, SigClustError
 from .linalg import DataMatrix
 
@@ -67,6 +67,8 @@ class ScenarioSpec:
             raise InvalidConfigError(f"spike height v must be >= 1, got {self.v}")
         if self.reps < 1:
             raise InvalidConfigError("reps must be >= 1")
+        if self.n_sim < MIN_N_SIM:
+            raise InvalidConfigError(f"n_sim must be >= {MIN_N_SIM}, got {self.n_sim}")
         if not self.methods:
             raise InvalidConfigError("at least one method is required")
         for m in self.methods:
@@ -173,39 +175,44 @@ def run_grid(specs, workers: int = 1) -> GridSummary:
 
     Each replication generates one data set and runs all of the scenario's
     methods on it, sharing the observed statistic and the estimated
-    spectra. Failures of individual replications are recorded as warnings
-    on every method of that cell rather than aborting the grid.
+    spectra. With ``workers`` > 1 every replication runs its null on one
+    process pool, shut down before this returns. A failed replication is
+    recorded as a warning on every method of its cell rather than
+    aborting the grid; a bad ``workers`` raises before any runs.
     """
+    if workers < 1:
+        raise InvalidConfigError("workers must be >= 1")
     cells = []
-    for spec in specs:
-        pvals = {m: np.full(spec.reps, np.nan) for m in spec.methods}
-        warns: dict[str, list[str]] = {m: [] for m in spec.methods}
-        true_eigs = true_null_eigenvalues(spec) if "true" in spec.methods else None
-        for rep in range(spec.reps):
-            try:
-                x = generate_scenario_sample(spec, rep)
-                config = TestConfig(
-                    method=spec.methods[0],
-                    n_sim=spec.n_sim,
-                    master_seed=seed_int(stream(spec.master_seed, SCENARIO_TEST, rep)),
-                    true_eigenvalues=true_eigs,
-                    workers=workers,
-                )
-                reports = run_tests(x, config, spec.methods)
-            except SigClustError as err:
+    with _worker_pool(workers):
+        for spec in specs:
+            pvals = {m: np.full(spec.reps, np.nan) for m in spec.methods}
+            warns: dict[str, list[str]] = {m: [] for m in spec.methods}
+            true_eigs = true_null_eigenvalues(spec) if "true" in spec.methods else None
+            for rep in range(spec.reps):
+                try:
+                    x = generate_scenario_sample(spec, rep)
+                    config = TestConfig(
+                        method=spec.methods[0],
+                        n_sim=spec.n_sim,
+                        master_seed=seed_int(stream(spec.master_seed, SCENARIO_TEST, rep)),
+                        true_eigenvalues=true_eigs,
+                        workers=workers,
+                    )
+                    reports = run_tests(x, config, spec.methods)
+                except SigClustError as err:
+                    for m in spec.methods:
+                        warns[m].append(f"rep {rep}: {err}")
+                    continue
                 for m in spec.methods:
-                    warns[m].append(f"rep {rep}: {err}")
-                continue
+                    pvals[m][rep] = reports[m].p_empirical
+                    for w in reports[m].warnings:
+                        warns[m].append(f"rep {rep}: {w}")
             for m in spec.methods:
-                pvals[m][rep] = reports[m].p_empirical
-                for w in reports[m].warnings:
-                    warns[m].append(f"rep {rep}: {w}")
-        for m in spec.methods:
-            cells.append(
-                CellSummary(
-                    spec=spec, method=m, pvalues=pvals[m], warnings=tuple(warns[m])
+                cells.append(
+                    CellSummary(
+                        spec=spec, method=m, pvalues=pvals[m], warnings=tuple(warns[m])
+                    )
                 )
-            )
     return GridSummary(cells=tuple(cells))
 
 

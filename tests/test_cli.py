@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -183,6 +184,33 @@ def test_simulate_to_stdout(tmp_path, capsys):
     assert code == EXIT_OK
     stdout = capsys.readouterr().out
     assert stdout.startswith("v,w,d,n,a,mode,reps,n_sim")
+
+
+def test_simulate_with_two_workers_leaves_no_process(tmp_path, capsys):
+    scenario = tmp_path / "scenario.csv"
+    scenario.write_text("v,w,d,n,a,mode,reps,n_sim\n5,1,10,10,0,none,2,100\n1,0,10,10,0,none,2,100\n")
+    argv = ["simulate", "--scenario", str(scenario), "--methods", "sample,hard", "--seed", "5"]
+    assert main(argv + ["--workers", "1"]) == EXIT_OK
+    serial = capsys.readouterr().out
+    assert main(argv + ["--workers", "2"]) == EXIT_OK
+    assert capsys.readouterr().out == serial
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("n_sim,workers,message", [
+    ("100", "0", "error: workers must be >= 1"),
+    ("99", "1", "error: n_sim must be >= 100, got 99"),
+])
+def test_bad_grid_settings_are_bad_config(tmp_path, capsys, monkeypatch, n_sim, workers, message):
+    monkeypatch.setattr("sigclust.harness.run_tests", lambda *a: pytest.fail("a rep ran"))
+    scenario = tmp_path / "scenario.csv"
+    scenario.write_text(f"v,w,d,n,a,mode,reps,n_sim\n1,0,6,8,0,none,2,{n_sim}\n")
+    argv = ["simulate", "--scenario", str(scenario), "--seed", "5", "--workers", workers]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if not line.startswith("running")] \
+        == [message]
 
 
 def test_worker_count_reports_identical(matrix_file, tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 import lloyd_reference as reference
@@ -185,6 +185,23 @@ class TestBatchedKernelAgainstReference:
         if np.sum(wss <= ref_wss + 1e-12 * tss) == 1:  # the best wss is unique
             assert _same_split(split.labels, ref_labels, mirror_ok)
 
+    def test_centroid_terms_match_explicit_weights(self):
+        # Gram matrices of uncentred data: their row sums are far from zero,
+        # so the terms that carry them count.
+        rng = np.random.default_rng(8)
+        values = rng.normal(size=(3, 20, 15)) + 50.0
+        grams = values.transpose(0, 2, 1) @ values
+        in2 = rng.random((3, 6, 15)) < 0.4
+        in2[..., 0], in2[..., 1] = True, False
+        got = cluster._centroid_terms(grams, grams.sum(axis=2)[:, None, :], in2)
+        w1 = ~in2 / (~in2).sum(axis=2, keepdims=True)
+        w2 = in2 / in2.sum(axis=2, keepdims=True)
+        gw1, gw2 = w1 @ grams, w2 @ grams
+        want = (gw1, gw2, (w1 * gw1).sum(axis=2, keepdims=True),
+                (w2 * gw2).sum(axis=2, keepdims=True))
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12)
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(2, 30),
@@ -272,6 +289,43 @@ class TestBatchedKernelAgainstReference:
                 if np.array_equal(values[:, a], values[:, b]):
                     np.testing.assert_array_equal(gram[a], gram[b])
                     np.testing.assert_array_equal(gram[:, a], gram[:, b])
+
+
+class TestTwoMeansInvariance:
+    """The split and the index do not depend on where the data sit, how the
+    variables are rotated or how they are scaled."""
+
+    @seed(20240607)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(3, 30),
+        d=st.integers(1, 40),
+        distinct=st.integers(2, 30),
+        data_seed=st.integers(0, 2**32 - 1),
+        restarts=st.integers(1, 12),
+        move=st.sampled_from(["shift", "rotate", "scale"]),
+    )
+    @example(n=12, d=30, distinct=5, data_seed=1, restarts=8, move="shift")
+    @example(n=9, d=3, distinct=2, data_seed=2, restarts=6, move="scale")
+    def test_split_and_index_are_invariant(self, n, d, distinct, data_seed, restarts, move):
+        # On a 2^-10 grid a shift of up to 1e6 is exact, while the centred
+        # Gram matrix of the shifted data has row sums far from zero.
+        values = np.round(_columns(d, n, distinct, data_seed) * 1024) / 1024
+        assume(cluster._tss(values) > 0.0)
+        rng = np.random.default_rng(data_seed)
+        if move == "shift":
+            moved = values + np.round(rng.uniform(-1e6, 1e6, (d, 1)) * 1024) / 1024
+        elif move == "rotate":
+            q, r = np.linalg.qr(rng.normal(size=(d, d)))
+            moved = (q * np.sign(np.diag(r))) @ values
+        else:
+            moved = rng.uniform(1e-3, 1e3) * values
+        split = two_means_ci(DataMatrix(values), restarts=restarts, seed=data_seed)
+        other = two_means_ci(DataMatrix(moved), restarts=restarts, seed=data_seed)
+        # The same partition: restarts that reach it with its names swapped
+        # tie on wss, and round-off picks which of them comes first.
+        assert _same_split(other.labels, split.labels, mirror_ok=True)
+        assert other.ci == pytest.approx(split.ci, abs=1e-12)
 
 
 class TestExhaustive:

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,40 @@ class TestRunGrid:
         grid = run_grid([spec])
         assert grid.cells[0].method == "true"
         assert not np.any(np.isnan(grid.cells[0].pvalues))
+
+
+class TestSharedPool:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        started = []
+
+        class CountingPool(engine.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
+        return started
+
+    def test_one_pool_per_grid_and_same_summaries(self, pools):
+        specs = [make_spec(d=20, n=12, v=v, w=1, reps=2, methods=("sample", "hard"))
+                 for v in (1.0, 9.0)]
+        serial = run_grid(specs)
+        assert pools == []
+        parallel = run_grid(specs, workers=2)
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+        assert summary_rows(parallel) == summary_rows(serial)
+        for a, b in zip(serial.cells, parallel.cells):
+            np.testing.assert_array_equal(a.pvalues, b.pvalues)
+            assert a.warnings == b.warnings
+
+    def test_one_pool_per_power_curve(self, pools):
+        specs = [make_spec(d=20, n=12, v=9.0, w=1, reps=2, signal_mode="all", signal_a=a,
+                           methods=("hard",)) for a in (0.0, 3.0)]
+        power_curve(specs, workers=2)
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
 
 
 class TestPowerCurve:
