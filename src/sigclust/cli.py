@@ -6,10 +6,11 @@ Subcommands:
   spectrum  print the sample, hard, and soft eigenvalues for a matrix
   tci       print the population cluster index for a spectrum file
 
-Exit codes: 0 success, 2 parse error, 3 invalid data, 4 degenerate
-data/noise, 5 I/O error, 6 bad configuration, 7 other library error
-(a linear-algebra failure, running out of memory or a worker process
-dying included), 130 interrupted.
+Exit codes: 0 success, 2 parse error, 3 invalid data (label and
+eigenvalue files that do not fit the matrix included), 4 degenerate
+data/noise, 5 I/O error, 6 bad configuration (a bad scenario row names
+its line), 7 other library error (a linear-algebra failure, running out
+of memory or a worker process dying included), 130 interrupted.
 """
 
 from __future__ import annotations

@@ -16,12 +16,12 @@ simulated in one run (the combined method's hard and soft arms among
 them) share both the Gaussian draw and the k-means seeding within each
 replication.
 
-Replications run in blocks, and a worker pool maps over blocks. A block
-stacks the Gram matrices of all its (replication, arm) elements and runs
-their 2-means together, one batched product per Lloyd sweep. Its size
-comes from a byte budget of Gram matrices (``_BLOCK_BYTES``), never from
-the worker count, and no element's result depends on the rest of its
-block.
+Replications run in blocks, mapped on a worker pool when one is open. A
+block stacks the Gram matrices of all its (replication, arm) elements
+and runs their 2-means together, one batched product per Lloyd sweep.
+Its size comes from a byte budget of Gram matrices (``_BLOCK_BYTES``),
+never from the worker count, and no element's result depends on the rest
+of its block.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from contextvars import ContextVar
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -246,38 +245,22 @@ def _block_size(n, arms):
     return max(1, min(_BLOCK_REPS, _BLOCK_BYTES // (8 * n * n * arms)))
 
 
-_OPEN_POOL: ContextVar[ProcessPoolExecutor | None] = ContextVar("_OPEN_POOL", default=None)
+def _pool(workers):
+    """A process pool for ``workers`` > 1, else a null context (None)."""
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
 
 
-@contextmanager
-def _worker_pool(workers):
-    """The process pool to map blocks on: None for one worker, else the
-    pool already open in this context (``harness.run_grid`` opens one
-    around a grid), else a new one, shut down on exit. A context variable
-    keeps other threads off the pool."""
-    if workers <= 1:
-        yield None
-    elif (pool := _OPEN_POOL.get()) is not None:
-        yield pool
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            token = _OPEN_POOL.set(pool)
-            try:
-                yield pool
-            finally:
-                _OPEN_POOL.reset(token)
-
-
-def _simulate(spectra, n, config):
-    """Null indices of every arm in ``spectra``, from one shared pass."""
+def _simulate(spectra, n, config, pool=None):
+    """Null indices of every arm in ``spectra``, from one shared pass.
+    Blocks map on the caller's ``pool`` (``run_tests`` opens one per call,
+    ``harness.run_grid`` one per grid), or run serially when it is None."""
     plan = _compact_plan(spectra, n)
     size = _block_size(n, len(spectra))
     blocks = [range(s, min(s + size, config.n_sim)) for s in range(0, config.n_sim, size)]
     one_block = partial(_block_cis, plan, n, config.master_seed, config.restarts_null)
-    with _worker_pool(config.workers) as pool:
-        # Executor.map yields in input order, so rows stay in replication
-        # order for any worker count.
-        rows = list((map if pool is None else pool.map)(one_block, blocks))
+    # Executor.map yields in input order, so rows stay in replication
+    # order for any worker count.
+    rows = list((map if pool is None else pool.map)(one_block, blocks))
     cis = np.concatenate(rows)
     return tuple(cis[:, k].copy() for k in range(len(spectra)))
 
@@ -292,10 +275,12 @@ def simulate_null_cis(spectrum: NullSpectrum, n: int, config: TestConfig) -> np.
     ``restarts_null`` restarts on the Gram matrix of the stacked factor.
     Replications run in blocks sized from a byte budget of Gram matrices
     that does not depend on the worker count, one batched product per
-    Lloyd sweep per block. Output is ordered by replication index and is
-    identical for any worker count and block size.
+    Lloyd sweep per block, on a pool of ``config.workers`` processes
+    opened for this call when that is above one. Output is ordered by
+    replication index and is identical for any worker count and block size.
     """
-    return _simulate((spectrum,), n, config)[0]
+    with _pool(config.workers) as pool:
+        return _simulate((spectrum,), n, config, pool)[0]
 
 
 def estimate_null_spectra(
@@ -343,8 +328,16 @@ def run_tests(
     indices. With ``config.labels`` set, the observed index is computed on
     the given partition instead of by 2-means optimization, and the mode
     is recorded in the report. With n = 2 the reports warn that the test
-    cannot reject.
+    cannot reject. The null runs on a pool of ``config.workers`` processes
+    opened for this call when that is above one.
     """
+    with _pool(config.workers) as pool:
+        return _run_tests(x, config, methods, pool)
+
+
+def _run_tests(x, config, methods, pool):
+    """``run_tests`` with the null's blocks mapped on ``pool`` (or serially
+    when it is None), so that a grid can share one pool across its runs."""
     methods = tuple(methods) if methods is not None else (config.method,)
     for m in methods:
         if m not in METHODS:
@@ -372,7 +365,7 @@ def run_tests(
             "n=2: every split puts one observation in each cluster, so the observed "
             "and every null cluster index are 0 and the test cannot reject"
         )
-    null = dict(zip(arms, _simulate([spectra[a] for a in arms], x.n, config)))
+    null = dict(zip(arms, _simulate([spectra[a] for a in arms], x.n, config, pool)))
     if "combined" in methods:
         spectra["combined"] = (spectra["hard"], spectra["soft"])
         null["combined"] = np.minimum(null["hard"], null["soft"])

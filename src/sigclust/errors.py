@@ -30,7 +30,7 @@ class InvalidConfigError(SigClustError):
     """A configuration value is out of range or inconsistent."""
 
 
-class InvalidLabelsError(SigClustError):
+class InvalidLabelsError(InvalidDataError):
     """A cluster-label vector is malformed or leaves a cluster empty."""
 
 
@@ -66,5 +66,5 @@ class TooLargeError(SigClustError):
     """The input is too large for an exhaustive computation."""
 
 
-class InvalidSpectraError(SigClustError):
+class InvalidSpectraError(InvalidDataError):
     """Two eigenvalue spectra that must agree in dimension do not."""

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ._streams import SCENARIO_DATA, SCENARIO_TEST, as_generator, seed_int, stream
-from .engine import METHODS, MIN_N_SIM, TestConfig, _worker_pool, run_tests
+from .engine import METHODS, MIN_N_SIM, TestConfig, _pool, _run_tests
 from .errors import InvalidConfigError, ParseError, SigClustError
 from .linalg import DataMatrix
 
@@ -183,7 +183,7 @@ def run_grid(specs, workers: int = 1) -> GridSummary:
     if workers < 1:
         raise InvalidConfigError("workers must be >= 1")
     cells = []
-    with _worker_pool(workers):
+    with _pool(workers) as pool:
         for spec in specs:
             pvals = {m: np.full(spec.reps, np.nan) for m in spec.methods}
             warns: dict[str, list[str]] = {m: [] for m in spec.methods}
@@ -196,9 +196,8 @@ def run_grid(specs, workers: int = 1) -> GridSummary:
                         n_sim=spec.n_sim,
                         master_seed=seed_int(stream(spec.master_seed, SCENARIO_TEST, rep)),
                         true_eigenvalues=true_eigs,
-                        workers=workers,
                     )
-                    reports = run_tests(x, config, spec.methods)
+                    reports = _run_tests(x, config, spec.methods, pool)
                 except SigClustError as err:
                     for m in spec.methods:
                         warns[m].append(f"rep {rep}: {err}")
@@ -297,7 +296,9 @@ def load_scenario_file(
                     )
                 )
             except (ValueError, KeyError) as err:
-                raise ParseError(f"bad scenario row: {err}", line=i) from err
+                raise ParseError(f"{path}: line {i}: bad scenario row: {err}", line=i) from err
+            except InvalidConfigError as err:
+                raise InvalidConfigError(f"{path}: line {i}: {err}") from err
     if not specs:
         raise ParseError("scenario file has no data rows", line=1)
     return specs

@@ -108,6 +108,24 @@ def test_exit_code_bad_config(matrix_file, capsys):
     assert main(["test", str(matrix_file), "--method", "true", "--nsim", "100"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("option,lines,extra", [
+    ("--labels", ["1", "2"] * 7, []),  # 14 labels for 15 observations
+    ("--labels", ["1"] * 15, []),  # every observation in one cluster
+    ("--true-eigenvalues", ["1.0"] * 29, ["--method", "true"]),  # d is 30
+], ids=["label-count", "one-cluster", "eigenvalue-length"])
+def test_inputs_that_do_not_fit_the_matrix_are_invalid_data(
+    matrix_file, tmp_path, capsys, option, lines, extra
+):
+    side = tmp_path / "side.txt"
+    side.write_text("\n".join(lines) + "\n")
+    argv = ["test", str(matrix_file), "--nsim", "100", "--seed", "1", option, str(side)]
+    assert main(argv + extra) == EXIT_INVALID_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
 def test_known_labels_mode(matrix_file, tmp_path, capsys):
     labels = tmp_path / "labels.txt"
     labels.write_text("\n".join(["1", "2"] * 7 + ["1"]) + "\n")
@@ -199,10 +217,10 @@ def test_simulate_with_two_workers_leaves_no_process(tmp_path, capsys):
 
 @pytest.mark.parametrize("n_sim,workers,message", [
     ("100", "0", "error: workers must be >= 1"),
-    ("99", "1", "error: n_sim must be >= 100, got 99"),
-])
+    ("99", "1", "error: {scenario}: line 2: n_sim must be >= 100, got 99"),
+], ids=["100-0-error: workers must be >= 1", "99-1-error: n_sim must be >= 100, got 99"])
 def test_bad_grid_settings_are_bad_config(tmp_path, capsys, monkeypatch, n_sim, workers, message):
-    monkeypatch.setattr("sigclust.harness.run_tests", lambda *a: pytest.fail("a rep ran"))
+    monkeypatch.setattr("sigclust.harness._run_tests", lambda *a: pytest.fail("a rep ran"))
     scenario = tmp_path / "scenario.csv"
     scenario.write_text(f"v,w,d,n,a,mode,reps,n_sim\n1,0,6,8,0,none,2,{n_sim}\n")
     argv = ["simulate", "--scenario", str(scenario), "--seed", "5", "--workers", workers]
@@ -210,7 +228,23 @@ def test_bad_grid_settings_are_bad_config(tmp_path, capsys, monkeypatch, n_sim, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert [line for line in captured.err.splitlines() if not line.startswith("running")] \
-        == [message]
+        == [message.format(scenario=scenario)]
+
+
+@pytest.mark.parametrize("row,code,message", [
+    ("1,7,6,8,0,none,2,100", EXIT_CONFIG, "need 0 <= w <= d, got w=7, d=6"),
+    ("1,0,6,8,0,sideways,2,100", EXIT_CONFIG, "signal_mode must be one of"),
+    ("1,x,6,8,0,none,2,100", EXIT_PARSE, "bad scenario row: invalid literal"),
+], ids=["w-above-d", "bad-mode", "not-a-number"])
+def test_rejected_scenario_row_names_its_line(tmp_path, capsys, monkeypatch, row, code, message):
+    monkeypatch.setattr("sigclust.harness._run_tests", lambda *a: pytest.fail("a rep ran"))
+    scenario = tmp_path / "scenario.csv"
+    scenario.write_text(f"v,w,d,n,a,mode,reps,n_sim\n1,0,6,8,0,none,2,100\n{row}\n")
+    assert main(["simulate", "--scenario", str(scenario), "--seed", "5"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {scenario}: line 3: {message}")
 
 
 def test_worker_count_reports_identical(matrix_file, tmp_path):
@@ -302,7 +336,7 @@ def test_load_matrix_warnings_are_warning_lines(tmp_path, capsys):
     (KeyboardInterrupt(), EXIT_INTERRUPTED, "error: interrupted"),
 ])
 def test_pool_failure_and_interrupt(matrix_file, capsys, monkeypatch, failure, code, message):
-    def fail(spectra, n, config):
+    def fail(spectra, n, config, pool=None):
         raise failure
 
     monkeypatch.setattr("sigclust.engine._simulate", fail)

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from sigclust import (
     DataMatrix,
@@ -134,6 +136,23 @@ class TestCombined:
         soft_only = simulate_null_cis(soft, n=15, config=config)
         np.testing.assert_array_equal(combined, np.minimum(hard_only, soft_only))
 
+    @seed(20240607)
+    @settings(max_examples=12, deadline=None)
+    @given(
+        d=st.integers(3, 30),
+        n=st.integers(4, 16),
+        spikes=st.lists(st.floats(2.0, 50.0), min_size=1, max_size=3),
+        workers=st.sampled_from([1, 2]),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_run_tests_combined_is_min_of_arms(self, d, n, spikes, workers, data_seed):
+        sd = np.sqrt(_spiked(d, spikes))
+        x = DataMatrix(sd[:, None] * np.random.default_rng(data_seed).standard_normal((d, n)))
+        reports = run_tests(x, make_config(workers=workers), ("hard", "soft", "combined"))
+        hard, soft, combined = (reports[m] for m in ("hard", "soft", "combined"))
+        assert combined.null_cis.tobytes() == np.minimum(hard.null_cis, soft.null_cis).tobytes()
+        assert combined.p_empirical >= max(hard.p_empirical, soft.p_empirical)
+
 
 def _spiked(d, head):
     return np.r_[head, np.ones(d - len(head))]
@@ -244,9 +263,9 @@ class TestCompactNullFactor:
         calls = []
         original = engine._simulate
 
-        def spy(spectra, n, config):
+        def spy(spectra, n, config, pool=None):
             calls.append(tuple(s.method for s in spectra))
-            return original(spectra, n, config)
+            return original(spectra, n, config, pool)
 
         monkeypatch.setattr(engine, "_simulate", spy)
         rng = np.random.default_rng(21)

@@ -151,16 +151,16 @@ class TestRunGrid:
         import sigclust.harness as hmod
         from sigclust.errors import DegenerateNoiseError
 
-        real = hmod.run_tests
+        real = hmod._run_tests
         calls = {"count": 0}
 
-        def flaky(x, config, methods=None):
+        def flaky(x, config, methods, pool):
             calls["count"] += 1
             if calls["count"] == 1:
                 raise DegenerateNoiseError("synthetic failure")
-            return real(x, config, methods)
+            return real(x, config, methods, pool)
 
-        monkeypatch.setattr(hmod, "run_tests", flaky)
+        monkeypatch.setattr(hmod, "_run_tests", flaky)
         spec = make_spec(d=6, n=8, reps=3)
         grid = run_grid([spec])
         cell = grid.cells[0]

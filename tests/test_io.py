@@ -418,6 +418,24 @@ class TestFilterVariables:
         out = filter_variables(x, 2)
         np.testing.assert_array_equal(out.values, [[-10.0, 10.0], [5.0, 6.0]])
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_kept_rows_match_sorted_oracle(self, data):
+        # Entries from a small integer range, so equal rows and tied ranks are common.
+        d = data.draw(st.integers(1, 12))
+        n = data.draw(st.integers(2, 5))
+        cells = data.draw(st.lists(st.integers(-2, 3), min_size=d * n, max_size=d * n))
+        x = DataMatrix(np.array(cells, dtype=np.float64).reshape(d, n))
+        top_k = data.draw(st.integers(1, d))
+        means = x.values.mean(axis=1)
+        sds = x.values.std(axis=1, ddof=1)
+
+        def rank(i):  # positive means by sd/mean, then the rest by sd; ties by index
+            return (0, -(sds[i] / means[i]), i) if means[i] > 0 else (1, -sds[i], i)
+
+        keep = sorted(sorted(range(d), key=rank)[:top_k])
+        np.testing.assert_array_equal(filter_variables(x, top_k).values, x.values[keep])
+
     def test_out_of_range(self):
         rng = np.random.default_rng(2)
         x = DataMatrix(rng.normal(size=(3, 4)))
