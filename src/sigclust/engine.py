@@ -26,6 +26,7 @@ of its block.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.stats import norm
 
 from ._streams import NULL_REP, OBSERVED, as_generator, stream
 from .cluster import _best_splits, _gram, _start_pairs, cluster_index_for_labels, two_means_ci
@@ -155,7 +155,10 @@ def gaussian_p(ci_observed: float, null_mean: float, null_sd: float) -> float:
     if null_sd <= 0.0:
         p = 0.5 if ci_observed == null_mean else (0.0 if ci_observed < null_mean else 1.0)
     else:
-        p = float(norm.cdf((ci_observed - null_mean) / null_sd))
+        # erfc keeps the lower tail, where 1 + erf(z / sqrt 2) underflows
+        # to 0 below z = -8.3 or so.
+        z = (ci_observed - null_mean) / null_sd
+        p = 0.5 * math.erfc(-z / math.sqrt(2.0))
     tiny = np.finfo(np.float64).tiny
     return float(min(max(p, tiny), 1.0 - np.finfo(np.float64).epsneg))
 

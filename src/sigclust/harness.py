@@ -32,6 +32,18 @@ DESK_REPS_CAP = 20
 DESK_NSIM_CAP = 200
 
 
+def check_methods(methods: tuple[str, ...]) -> None:
+    """Raise InvalidConfigError unless ``methods`` names at least one
+    method of METHODS and none twice."""
+    if not methods:
+        raise InvalidConfigError("at least one method is required")
+    for i, m in enumerate(methods):
+        if m not in METHODS:
+            raise InvalidConfigError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
+        if m in methods[:i]:
+            raise InvalidConfigError(f"method {m!r} is listed twice")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One simulation cell: population, signal, and replication budget.
@@ -69,11 +81,7 @@ class ScenarioSpec:
             raise InvalidConfigError("reps must be >= 1")
         if self.n_sim < MIN_N_SIM:
             raise InvalidConfigError(f"n_sim must be >= {MIN_N_SIM}, got {self.n_sim}")
-        if not self.methods:
-            raise InvalidConfigError("at least one method is required")
-        for m in self.methods:
-            if m not in METHODS:
-                raise InvalidConfigError(f"unknown method {m!r}")
+        check_methods(self.methods)
         if self.master_seed is None:
             object.__setattr__(self, "master_seed", seed_int(np.random.SeedSequence()))
         elif self.master_seed < 0:

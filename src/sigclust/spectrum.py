@@ -13,9 +13,9 @@ sample eigenvalues of a spiked covariance land in high dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import (
     DegenerateNoiseError,
@@ -28,7 +28,7 @@ from .linalg import DataMatrix, EigenSpectrum
 
 # MAD of the standard normal distribution, i.e. the 75% quantile of |N(0,1)|.
 # Computed from the inverse normal CDF rather than hard-coded.
-MAD_STD_NORMAL = float(norm.ppf(0.75))
+MAD_STD_NORMAL = NormalDist().inv_cdf(0.75)
 
 _METHODS = ("sample", "hard", "soft", "true")
 

@@ -247,6 +247,38 @@ def test_rejected_scenario_row_names_its_line(tmp_path, capsys, monkeypatch, row
     assert line.startswith(f"error: {scenario}: line 3: {message}")
 
 
+@pytest.mark.parametrize("methods,message", [
+    ("", "at least one method is required"),
+    ("hard,bogus", "unknown method 'bogus'"),
+    ("hard,hard", "method 'hard' is listed twice"),
+], ids=["empty", "unknown", "duplicate"])
+def test_bad_methods_list_is_bad_config(tmp_path, capsys, monkeypatch, methods, message):
+    monkeypatch.setattr("sigclust.harness._run_tests", lambda *a: pytest.fail("a rep ran"))
+    scenario = tmp_path / "scenario.csv"
+    scenario.write_text("v,w,d,n,a,mode,reps,n_sim\n1,0,6,8,0,none,2,100\n")
+    argv = ["simulate", "--scenario", str(scenario), "--methods", methods, "--seed", "5"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: --methods: {message}")
+    assert str(scenario) not in line
+
+
+def test_runtime_imports_no_scipy():
+    src = str(Path(sigclust.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sigclust, sigclust.cli, sys; "
+        "print('\\n'.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_worker_count_reports_identical(matrix_file, tmp_path):
     # Same seed and output path, 1 vs 8 workers: byte-identical JSON apart
     # from the timing field (the second run overwrites the first).

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from sigclust import (
     DataMatrix,
@@ -48,6 +49,16 @@ class TestPValueHelpers:
     def test_gaussian_zero_sd_degenerate(self):
         assert gaussian_p(0.3, 0.3, 0.0) == 0.5
         assert gaussian_p(0.2, 0.3, 0.0) < 0.5 < gaussian_p(0.4, 0.3, 0.0)
+
+    def test_gaussian_matches_ndtr(self):
+        z = np.linspace(-37.0, 8.0, 4501)
+        p = np.array([gaussian_p(v, 0.0, 1.0) for v in z])
+        np.testing.assert_allclose(p, ndtr(z), rtol=1e-9, atol=0.0)
+
+    def test_gaussian_deep_lower_tail_is_not_clamped(self):
+        p = gaussian_p(-30.0, 0.0, 1.0)
+        assert p == pytest.approx(4.906713927148187e-198, rel=1e-9)
+        assert p > 1e100 * np.finfo(np.float64).tiny
 
 
 class TestSimulateNullCis:

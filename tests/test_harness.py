@@ -88,6 +88,8 @@ class TestScenarioSamples:
         with pytest.raises(InvalidConfigError):
             make_spec(methods=("bogus",))
         with pytest.raises(InvalidConfigError):
+            make_spec(methods=("hard", "hard"))
+        with pytest.raises(InvalidConfigError):
             make_spec(master_seed=-5)
 
 

@@ -43,6 +43,9 @@ def random_spectra(count, rng, d_range=(5, 2000)):
 
 
 class TestEstimateNoise:
+    def test_mad_constant_is_the_normal_quartile(self):
+        assert MAD_STD_NORMAL == norm.ppf(0.75)
+
     def test_hand_case(self):
         x = DataMatrix(np.array([[1.0, 2.0, 3.0, 4.0, 5.0]]))
         noise = estimate_noise(x)
