@@ -44,16 +44,14 @@ from .errors import (
 from .harness import (
     CellSummary,
     GridSummary,
-    PowerPoint,
     ScenarioSpec,
     generate_scenario_sample,
     load_scenario_file,
-    power_curve,
     run_grid,
     true_null_eigenvalues,
 )
 from .io import RunManifest, emit_report, filter_variables, load_matrix
-from .linalg import DataMatrix, EigenSpectrum, center_rows, sample_spectrum
+from .linalg import DataMatrix, EigenSpectrum, sample_spectrum
 from .spectrum import (
     MAD_STD_NORMAL,
     NoiseEstimate,
@@ -92,11 +90,9 @@ __all__ = [
     "TooLargeError",
     "CellSummary",
     "GridSummary",
-    "PowerPoint",
     "ScenarioSpec",
     "generate_scenario_sample",
     "load_scenario_file",
-    "power_curve",
     "run_grid",
     "true_null_eigenvalues",
     "RunManifest",
@@ -105,7 +101,6 @@ __all__ = [
     "load_matrix",
     "DataMatrix",
     "EigenSpectrum",
-    "center_rows",
     "sample_spectrum",
     "MAD_STD_NORMAL",
     "NoiseEstimate",

@@ -9,9 +9,10 @@ Subcommands:
 Exit codes: 0 success, 2 parse error, 3 invalid data (label and
 eigenvalue files that do not fit the matrix included), 4 degenerate
 data/noise, 5 I/O error, 6 bad configuration (a bad scenario row names
-its line; a bad ``--methods`` list is rejected before any row is read),
-7 other library error (a linear-algebra failure, running out of memory
-or a worker process dying included), 130 interrupted.
+its line; a bad ``--methods``, ``--seed`` or ``--workers`` is rejected
+before any row is read), 7 other library error (a linear-algebra
+failure, running out of memory or a worker process dying included),
+130 interrupted.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ import numpy as np
 
 from . import __version__
 from .cluster import theoretical_ci
-from .engine import METHODS, TestConfig, estimate_null_spectra, run_test
+from .engine import (
+    METHODS, TestConfig, check_methods, check_seed, check_workers, estimate_null_spectra, run_test,
+)
 from .errors import (
     DegenerateDataError,
     DegenerateNoiseError,
@@ -38,7 +41,6 @@ from .errors import (
 )
 from .harness import (
     builtin_calibration_grid_path,
-    check_methods,
     load_scenario_file,
     run_grid,
     summary_rows,
@@ -204,10 +206,15 @@ def _cmd_test(args) -> int:
 def _cmd_simulate(args) -> int:
     scenario = args.scenario if args.scenario else builtin_calibration_grid_path()
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    try:
-        check_methods(methods)
-    except InvalidConfigError as err:
-        raise InvalidConfigError(f"--methods: {err}") from err
+    for flag, check, value in (
+        ("--methods", check_methods, methods),
+        ("--seed", check_seed, args.seed),
+        ("--workers", check_workers, args.workers),
+    ):
+        try:
+            check(value)
+        except InvalidConfigError as err:
+            raise InvalidConfigError(f"{flag}: {err}") from err
     specs = load_scenario_file(
         scenario, methods=methods, master_seed=args.seed, full_scale=args.full_scale
     )

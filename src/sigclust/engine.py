@@ -27,7 +27,6 @@ of its block.
 from __future__ import annotations
 
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -36,7 +35,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from ._streams import NULL_REP, OBSERVED, as_generator, stream
+from ._streams import NULL_REP, OBSERVED, as_generator, seed_int, stream
 from .cluster import _best_splits, _gram, _start_pairs, cluster_index_for_labels, two_means_ci
 from .errors import (
     DegenerateDataError,
@@ -61,6 +60,30 @@ DEFAULT_RESTARTS_NULL = 20
 DEFAULT_RESTARTS_OBSERVED = 100
 _BLOCK_BYTES = 1 << 20  # Gram matrices per block; 2 MB ran no faster and used more memory
 _BLOCK_REPS = 64  # bounds the block's restart arrays when n is small
+
+
+def check_methods(methods: tuple[str, ...]) -> None:
+    """Raise InvalidConfigError unless ``methods`` names at least one
+    method of METHODS and none twice."""
+    if not methods:
+        raise InvalidConfigError("at least one method is required")
+    for i, m in enumerate(methods):
+        if m not in METHODS:
+            raise InvalidConfigError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
+        if m in methods[:i]:
+            raise InvalidConfigError(f"method {m!r} is listed twice")
+
+
+def check_seed(master_seed: int | None) -> None:
+    """Raise InvalidConfigError for a negative master seed; None is valid."""
+    if master_seed is not None and master_seed < 0:
+        raise InvalidConfigError(f"master_seed must be >= 0, got {master_seed}")
+
+
+def check_workers(workers: int) -> None:
+    """Raise InvalidConfigError unless ``workers`` is at least 1."""
+    if workers < 1:
+        raise InvalidConfigError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -90,22 +113,15 @@ class TestConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise InvalidConfigError(
-                f"method must be one of {METHODS}, got {self.method!r}"
-            )
+        check_methods((self.method,))
         if self.n_sim < MIN_N_SIM:
             raise InvalidConfigError(f"n_sim must be >= {MIN_N_SIM}, got {self.n_sim}")
         if self.restarts_null < 1 or self.restarts_observed < 1:
             raise InvalidConfigError("restart counts must be >= 1")
-        if self.workers < 1:
-            raise InvalidConfigError("workers must be >= 1")
+        check_workers(self.workers)
+        check_seed(self.master_seed)
         if self.master_seed is None:
-            object.__setattr__(
-                self, "master_seed", int.from_bytes(os.urandom(8), "little") >> 1
-            )
-        elif self.master_seed < 0:
-            raise InvalidConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+            object.__setattr__(self, "master_seed", seed_int(np.random.SeedSequence()))
         if self.labels is not None:
             object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
         if self.true_eigenvalues is not None:
@@ -323,6 +339,7 @@ def run_tests(
 ) -> dict[str, TestReport]:
     """Run the significance test for several methods on one data set.
 
+    ``methods`` must name at least one method of METHODS, none twice.
     The observed statistic, the sample spectrum, and the noise estimate are
     computed once and shared. Each distinct arm the methods need (sample,
     hard, soft, true; "combined" needs hard and soft) is then simulated
@@ -342,9 +359,7 @@ def _run_tests(x, config, methods, pool):
     """``run_tests`` with the null's blocks mapped on ``pool`` (or serially
     when it is None), so that a grid can share one pool across its runs."""
     methods = tuple(methods) if methods is not None else (config.method,)
-    for m in methods:
-        if m not in METHODS:
-            raise InvalidConfigError(f"unknown method {m!r}")
+    check_methods(methods)
     t0 = time.perf_counter()
 
     if config.labels is not None:

@@ -1,4 +1,4 @@
-"""Scenario-driven simulation studies: type-I-error grids and power curves.
+"""Scenario-driven simulation studies: type-I-error and power grids.
 
 A scenario draws n observations from a spiked Gaussian (w variances at v,
 the rest at 1), optionally shifted into a two-component mean mixture, runs
@@ -12,6 +12,7 @@ the package.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -20,7 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from ._streams import SCENARIO_DATA, SCENARIO_TEST, as_generator, seed_int, stream
-from .engine import METHODS, MIN_N_SIM, TestConfig, _pool, _run_tests
+from .engine import (
+    METHODS, MIN_N_SIM, TestConfig, _pool, _run_tests, check_methods, check_seed, check_workers,
+)
 from .errors import InvalidConfigError, ParseError, SigClustError
 from .linalg import DataMatrix
 
@@ -30,18 +33,6 @@ SCENARIO_COLUMNS = ("v", "w", "d", "n", "a", "mode", "reps", "n_sim")
 # Desk-scale caps applied to scenario files unless full scale is requested.
 DESK_REPS_CAP = 20
 DESK_NSIM_CAP = 200
-
-
-def check_methods(methods: tuple[str, ...]) -> None:
-    """Raise InvalidConfigError unless ``methods`` names at least one
-    method of METHODS and none twice."""
-    if not methods:
-        raise InvalidConfigError("at least one method is required")
-    for i, m in enumerate(methods):
-        if m not in METHODS:
-            raise InvalidConfigError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
-        if m in methods[:i]:
-            raise InvalidConfigError(f"method {m!r} is listed twice")
 
 
 @dataclass(frozen=True)
@@ -82,10 +73,9 @@ class ScenarioSpec:
         if self.n_sim < MIN_N_SIM:
             raise InvalidConfigError(f"n_sim must be >= {MIN_N_SIM}, got {self.n_sim}")
         check_methods(self.methods)
+        check_seed(self.master_seed)
         if self.master_seed is None:
             object.__setattr__(self, "master_seed", seed_int(np.random.SeedSequence()))
-        elif self.master_seed < 0:
-            raise InvalidConfigError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 def generate_scenario_sample(spec: ScenarioSpec, rep: int) -> DataMatrix:
@@ -188,8 +178,7 @@ def run_grid(specs, workers: int = 1) -> GridSummary:
     recorded as a warning on every method of its cell rather than
     aborting the grid; a bad ``workers`` raises before any runs.
     """
-    if workers < 1:
-        raise InvalidConfigError("workers must be >= 1")
+    check_workers(workers)
     cells = []
     with _pool(workers) as pool:
         for spec in specs:
@@ -223,38 +212,6 @@ def run_grid(specs, workers: int = 1) -> GridSummary:
     return GridSummary(cells=tuple(cells))
 
 
-@dataclass(frozen=True)
-class PowerPoint:
-    """Rejection rate and sorted p-values of one (signal, method) cell."""
-
-    signal_a: float
-    method: str
-    rejection_rate: float
-    pvalues_sorted: np.ndarray
-
-
-def power_curve(specs, workers: int = 1, level: float = 0.05) -> list[PowerPoint]:
-    """Rejection rates across a family of scenarios varying the signal.
-
-    Returns one point per (scenario, method) cell with the fraction of
-    replications rejecting at ``level`` and the sorted p-values for
-    empirical-CDF plotting.
-    """
-    grid = run_grid(specs, workers=workers)
-    points = []
-    for cell in grid.cells:
-        valid = cell.pvalues[~np.isnan(cell.pvalues)]
-        points.append(
-            PowerPoint(
-                signal_a=cell.spec.signal_a,
-                method=cell.method,
-                rejection_rate=cell.rejection_rate(level),
-                pvalues_sorted=np.sort(valid),
-            )
-        )
-    return points
-
-
 def builtin_calibration_grid_path() -> Path:
     """Path of the packaged 31-cell single-cluster (v, w) scenario grid."""
     return Path(resources.files("sigclust").joinpath("data/single_cluster_grid.csv"))
@@ -271,8 +228,10 @@ def load_scenario_file(
     The file needs a header with columns v, w, d, n, a, mode, reps, n_sim.
     Unless ``full_scale`` is set, reps and n_sim are capped at the
     desk-scale profile (20 and 200). All scenarios share ``master_seed`` so
-    that equal (rep, seed) pairs reuse identical Gaussian draws.
+    that equal (rep, seed) pairs reuse identical Gaussian draws; a negative
+    one raises before the file is read.
     """
+    check_seed(master_seed)
     if master_seed is None:
         master_seed = seed_int(np.random.SeedSequence())
     specs = []
@@ -281,7 +240,7 @@ def load_scenario_file(
         header = tuple(reader.fieldnames or ())
         missing = [c for c in SCENARIO_COLUMNS if c not in header]
         if missing:
-            raise ParseError(f"scenario file is missing columns {missing}", line=1)
+            raise ParseError(f"{path}: scenario file is missing columns {missing}", line=1)
         for i, row in enumerate(reader, start=2):
             try:
                 reps = int(row["reps"])
@@ -308,42 +267,32 @@ def load_scenario_file(
             except InvalidConfigError as err:
                 raise InvalidConfigError(f"{path}: line {i}: {err}") from err
     if not specs:
-        raise ParseError("scenario file has no data rows", line=1)
+        raise ParseError(f"{path}: scenario file has no data rows", line=1)
     return specs
-
-
-def _cells_by_spec(grid: GridSummary):
-    by_spec: dict[int, list[CellSummary]] = {}
-    order = []
-    for cell in grid.cells:
-        key = id(cell.spec)
-        if key not in by_spec:
-            by_spec[key] = []
-            order.append(cell.spec)
-        by_spec[key].append(cell)
-    return [(spec, by_spec[id(spec)]) for spec in order]
 
 
 def summary_rows(grid: GridSummary) -> tuple[list[str], list[list]]:
     """Header and rows of the wide per-scenario summary table.
 
-    One row per scenario with mean, P5, and P10 columns for each method.
+    One row per scenario with mean, P5, and P10 columns for each method of
+    any cell, in order of first appearance; a scenario that lacks a method
+    leaves its three cells empty.
     """
-    grouped = _cells_by_spec(grid)
-    methods = grouped[0][1][0].spec.methods if grouped else ()
+    methods = list(dict.fromkeys(c.method for c in grid.cells))
     head = list(SCENARIO_COLUMNS)
     for m in methods:
         head += [f"{m}_mean", f"{m}_p5", f"{m}_p10"]
     rows = []
-    for spec, cells in grouped:
+    for _, cells in itertools.groupby(grid.cells, key=lambda c: id(c.spec)):
+        by_method = {c.method: c for c in cells}
+        spec = next(iter(by_method.values())).spec
         row = [
             f"{spec.v:g}", spec.w, spec.d, spec.n, f"{spec.signal_a:g}",
             spec.signal_mode, spec.reps, spec.n_sim,
         ]
-        by_method = {c.method: c for c in cells}
         for m in methods:
-            c = by_method[m]
-            row += [f"{c.mean_p:.6g}", c.p5_count, c.p10_count]
+            c = by_method.get(m)
+            row += ["", "", ""] if c is None else [f"{c.mean_p:.6g}", c.p5_count, c.p10_count]
         rows.append(row)
     return head, rows
 

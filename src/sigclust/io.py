@@ -157,6 +157,9 @@ def _parse_csv(path, data: bytes, choices):
             return _grid_values([row[r:] for row in rows[h:]] if r else rows[h:]), h, r
         except ValueError:
             bad = bad or _first_bad_cell(rows, h, r)
+    if len(rows[0]) == 1 and any(c in rows[0][0].strip() for c in " \t;"):
+        raise ParseError(f"{path}: row 1 is one cell with a space, tab or ';' in it; "
+                         "sigclust reads comma-separated files", line=1)
     h, r = choices[-1]
     if bad is None or bad[0] < h or bad[1] < r:
         bad = _first_bad_cell(rows, h, r)

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernel: row centering and sample-covariance spectra.
+"""Dense linear-algebra kernel: the data matrix and its sample-covariance spectrum.
 
 Data matrices are oriented variables-by-observations: d rows, n columns.
 The sample covariance uses the 1/n normalizer. Its nonzero eigenvalues are
@@ -74,15 +74,6 @@ class EigenSpectrum:
         return out
 
 
-def center_rows(x: DataMatrix) -> DataMatrix:
-    """Subtract each row's mean so every variable has mean zero.
-
-    The column count is unchanged; each output row has mean zero up to
-    round-off relative to the row's largest magnitude.
-    """
-    return DataMatrix(x.values - x.values.mean(axis=1, keepdims=True))
-
-
 def sample_spectrum(x: DataMatrix) -> EigenSpectrum:
     """Eigenvalues of the 1/n sample covariance of the row-centered matrix.
 
@@ -92,7 +83,7 @@ def sample_spectrum(x: DataMatrix) -> EigenSpectrum:
     eigenvalues are nonzero; trailing eigenvalues are reported as exact
     zeros, as are round-off values below ``EPS_EIG_REL`` times the largest.
     """
-    centered = center_rows(x).values
+    centered = x.values - x.values.mean(axis=1, keepdims=True)
     d, n = centered.shape
     if d > n:
         gram = (centered.T @ centered) / n

@@ -216,7 +216,7 @@ def test_simulate_with_two_workers_leaves_no_process(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("n_sim,workers,message", [
-    ("100", "0", "error: workers must be >= 1"),
+    ("100", "0", "error: --workers: workers must be >= 1"),
     ("99", "1", "error: {scenario}: line 2: n_sim must be >= 100, got 99"),
 ], ids=["100-0-error: workers must be >= 1", "99-1-error: n_sim must be >= 100, got 99"])
 def test_bad_grid_settings_are_bad_config(tmp_path, capsys, monkeypatch, n_sim, workers, message):
@@ -227,8 +227,25 @@ def test_bad_grid_settings_are_bad_config(tmp_path, capsys, monkeypatch, n_sim, 
     assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert [line for line in captured.err.splitlines() if not line.startswith("running")] \
-        == [message.format(scenario=scenario)]
+    assert captured.err.splitlines() == [message.format(scenario=scenario)]
+
+
+@pytest.mark.parametrize("text,argv,code,message", [
+    ("v,w,d,n,a,mode,reps,n_sim\n1,0,6,8,0,none,2,100\n", ["--seed", "-1"], EXIT_CONFIG,
+     "error: --seed: master_seed must be >= 0, got -1"),
+    ("v,w,d,n\n1,0,6,8\n", ["--seed", "5"], EXIT_PARSE,
+     "error: {scenario}: scenario file is missing columns ['a', 'mode', 'reps', 'n_sim']"),
+    ("v,w,d,n,a,mode,reps,n_sim\n", ["--seed", "5"], EXIT_PARSE,
+     "error: {scenario}: scenario file has no data rows"),
+], ids=["negative-seed", "missing-columns", "no-rows"])
+def test_scenario_file_and_seed_errors(tmp_path, capsys, monkeypatch, text, argv, code, message):
+    monkeypatch.setattr("sigclust.harness._run_tests", lambda *a: pytest.fail("a rep ran"))
+    scenario = tmp_path / "scenario.csv"
+    scenario.write_text(text)
+    assert main(["simulate", "--scenario", str(scenario)] + argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message.format(scenario=scenario)]
 
 
 @pytest.mark.parametrize("row,code,message", [
@@ -263,6 +280,28 @@ def test_bad_methods_list_is_bad_config(tmp_path, capsys, monkeypatch, methods, 
     [line] = captured.err.splitlines()
     assert line.startswith(f"error: --methods: {message}")
     assert str(scenario) not in line
+
+
+@pytest.mark.parametrize("sep", [" ", "\t", ";"], ids=["space", "tab", "semicolon"])
+def test_non_comma_matrix_file_is_a_parse_error(tmp_path, capsys, sep):
+    path = tmp_path / "ws.txt"
+    path.write_text("".join(sep.join(f"{v:.3f}" for v in row) + "\n"
+                            for row in np.random.default_rng(9).normal(size=(5, 4))))
+    assert main(["spectrum", str(path)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {path}: row 1 is one cell with a space, tab or ';' in it; "
+        "sigclust reads comma-separated files"
+    ]
+
+
+def test_one_column_file_loads_as_one_variable(tmp_path, capsys):
+    path = tmp_path / "col.csv"
+    values = np.random.default_rng(10).normal(size=12)
+    path.write_text("".join(f"{float(v)!r}\n" for v in values))
+    assert main(["spectrum", str(path), "--observations-in-rows"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("d=1 n=12\n")
 
 
 def test_runtime_imports_no_scipy():

@@ -402,6 +402,16 @@ class TestRunTest:
         with pytest.raises(InvalidConfigError):
             TestConfig(master_seed=-1)
 
+    @pytest.mark.parametrize("methods,message", [
+        ((), "at least one method is required"),
+        (("bogus",), "unknown method 'bogus'"),
+        (("hard", "hard"), "method 'hard' is listed twice"),
+    ], ids=["empty", "unknown", "duplicate"])
+    def test_bad_methods_list_is_bad_config(self, methods, message):
+        x = DataMatrix(np.random.default_rng(19).normal(size=(5, 12)))
+        with pytest.raises(InvalidConfigError, match=message):
+            run_tests(x, make_config(), methods)
+
     def test_timing_counts_prelude_and_shared_simulation(self, monkeypatch):
         # A stubbed clock advances only inside the observed 2-means (1 s)
         # and inside the one null simulation pass that serves every method

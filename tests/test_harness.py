@@ -12,7 +12,6 @@ from sigclust import (
     engine,
     generate_scenario_sample,
     load_scenario_file,
-    power_curve,
     run_grid,
     true_null_eigenvalues,
 )
@@ -204,13 +203,6 @@ class TestSharedPool:
             np.testing.assert_array_equal(a.pvalues, b.pvalues)
             assert a.warnings == b.warnings
 
-    def test_one_pool_per_power_curve(self, pools):
-        specs = [make_spec(d=20, n=12, v=9.0, w=1, reps=2, signal_mode="all", signal_a=a,
-                           methods=("hard",)) for a in (0.0, 3.0)]
-        power_curve(specs, workers=2)
-        assert pools == [2]
-        assert multiprocessing.active_children() == []
-
 
 class TestPowerCurve:
     def test_rejections_increase_with_signal(self):
@@ -220,12 +212,10 @@ class TestPowerCurve:
             ScenarioSpec(signal_a=0.0, **shared),
             ScenarioSpec(signal_a=4.0, **shared),
         ]
-        points = power_curve(specs)
-        assert len(points) == 2
-        by_a = {p.signal_a: p for p in points}
-        assert by_a[4.0].rejection_rate >= by_a[0.0].rejection_rate
-        assert by_a[4.0].rejection_rate >= 0.5
-        assert np.all(np.diff(by_a[0.0].pvalues_sorted) >= 0.0)
+        by_a = {c.spec.signal_a: c.rejection_rate() for c in run_grid(specs).cells}
+        assert len(by_a) == 2
+        assert by_a[4.0] >= by_a[0.0]
+        assert by_a[4.0] >= 0.5
 
 
 class TestScenarioFiles:
@@ -257,8 +247,9 @@ class TestScenarioFiles:
     def test_bad_files(self, tmp_path):
         missing = tmp_path / "missing_cols.csv"
         missing.write_text("v,w\n1,1\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="missing columns") as exc:
             load_scenario_file(missing)
+        assert str(exc.value).startswith(f"{missing}: ")
 
         bad_row = tmp_path / "bad_row.csv"
         bad_row.write_text("v,w,d,n,a,mode,reps,n_sim\n1,x,50,20,0,none,5,100\n")
@@ -268,11 +259,36 @@ class TestScenarioFiles:
 
         empty = tmp_path / "empty.csv"
         empty.write_text("v,w,d,n,a,mode,reps,n_sim\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="no data rows") as exc:
             load_scenario_file(empty)
+        assert str(exc.value).startswith(f"{empty}: ")
+
+    def test_negative_seed_is_rejected_before_any_row(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("v,w,d,n,a,mode,reps,n_sim\n1,x,50,20,0,none,5,100\n")
+        with pytest.raises(InvalidConfigError) as exc:
+            load_scenario_file(path, master_seed=-1)
+        assert str(exc.value) == "master_seed must be >= 0, got -1"
 
 
 class TestSummaries:
+    def test_mixed_method_grid_gives_union_header_and_empty_cells(self, tmp_path):
+        specs = [make_spec(d=8, n=10, reps=2, methods=("sample", "hard")),
+                 make_spec(d=8, n=10, reps=2, v=4.0, w=1, methods=("hard",))]
+        grid = run_grid(specs)
+        head, rows = summary_rows(grid)
+        assert head[8:] == ["sample_mean", "sample_p5", "sample_p10",
+                            "hard_mean", "hard_p5", "hard_p10"]
+        assert [len(r) for r in rows] == [14, 14]
+        assert rows[1][8:11] == ["", "", ""]
+        assert all(cell != "" for cell in rows[0] + rows[1][11:])
+
+        csv_path = tmp_path / "summary.csv"
+        write_summary_csv(grid, csv_path)
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == ",".join(head)
+        assert lines[2].split(",")[8:11] == ["", "", ""]
+
     def test_csv_and_json_outputs(self, tmp_path):
         spec = make_spec(d=8, n=10, reps=3, methods=("sample", "hard"))
         grid = run_grid([spec])

@@ -1,28 +1,21 @@
 import numpy as np
 import pytest
 
-from sigclust import DataMatrix, InvalidDataError, center_rows, sample_spectrum
+from sigclust import DataMatrix, InvalidDataError, sample_spectrum
 from sigclust.linalg import EPS_EIG_REL
 
 
-def test_center_rows_hand_cases():
-    out = center_rows(DataMatrix([[1.0, 3.0], [2.0, 2.0]]))
-    np.testing.assert_array_equal(out.values, [[-1.0, 1.0], [0.0, 0.0]])
-
-    zeros = center_rows(DataMatrix(np.zeros((3, 4))))
-    np.testing.assert_array_equal(zeros.values, np.zeros((3, 4)))
-
-    single = center_rows(DataMatrix([[1.0, 2.0, 3.0]]))
-    np.testing.assert_array_equal(single.values, [[-1.0, 0.0, 1.0]])
-
-
-def test_center_rows_zero_means():
-    rng = np.random.default_rng(0)
-    x = DataMatrix(rng.normal(size=(40, 17)) * 100.0)
-    out = center_rows(x)
-    scale = np.abs(out.values).max(axis=1)
-    assert np.all(np.abs(out.values.mean(axis=1)) <= 1e-12 * np.maximum(scale, 1.0))
-    assert out.n == x.n
+@pytest.mark.parametrize("d,n", [(40, 17), (6, 30)])
+def test_sample_spectrum_ignores_row_shifts(d, n):
+    # Each row is centred, so adding a constant to every row leaves the
+    # spectrum unchanged up to the round-off of the row means.
+    rng = np.random.default_rng(d * 100 + n)
+    x = rng.normal(size=(d, n))
+    base = sample_spectrum(DataMatrix(x))
+    shifted = sample_spectrum(DataMatrix(x + rng.uniform(-10.0, 10.0, size=(d, 1))))
+    top = base.eigenvalues[0]
+    np.testing.assert_allclose(shifted.eigenvalues, base.eigenvalues, rtol=1e-12, atol=1e-12 * top)
+    assert shifted.trace == pytest.approx(base.trace, rel=1e-12)
 
 
 def test_datamatrix_rejects_bad_input():
