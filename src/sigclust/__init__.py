@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .cluster import (
     ClusterSplit,
     cluster_index_for_labels,
-    hard_bias_diagnostic,
     theoretical_ci,
     two_means_ci,
     two_means_exhaustive,
@@ -66,7 +65,6 @@ __all__ = [
     "__version__",
     "ClusterSplit",
     "cluster_index_for_labels",
-    "hard_bias_diagnostic",
     "theoretical_ci",
     "two_means_ci",
     "two_means_exhaustive",

@@ -29,7 +29,8 @@ import numpy as np
 from . import __version__
 from .cluster import theoretical_ci
 from .engine import (
-    METHODS, TestConfig, check_methods, check_seed, check_workers, estimate_null_spectra, run_test,
+    METHODS, TestConfig, check_methods, check_workers, estimate_null_spectra, resolve_seed,
+    run_test,
 )
 from .errors import (
     DegenerateDataError,
@@ -203,24 +204,25 @@ def _cmd_test(args) -> int:
     return EXIT_OK
 
 
+def _check_flag(flag, check, value):
+    """``check(value)``, with an InvalidConfigError prefixed by ``flag``."""
+    try:
+        return check(value)
+    except InvalidConfigError as err:
+        raise InvalidConfigError(f"{flag}: {err}") from err
+
+
 def _cmd_simulate(args) -> int:
     scenario = args.scenario if args.scenario else builtin_calibration_grid_path()
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    for flag, check, value in (
-        ("--methods", check_methods, methods),
-        ("--seed", check_seed, args.seed),
-        ("--workers", check_workers, args.workers),
-    ):
-        try:
-            check(value)
-        except InvalidConfigError as err:
-            raise InvalidConfigError(f"{flag}: {err}") from err
+    _check_flag("--methods", check_methods, methods)
+    seed = _check_flag("--seed", resolve_seed, args.seed)
+    _check_flag("--workers", check_workers, args.workers)
     specs = load_scenario_file(
-        scenario, methods=methods, master_seed=args.seed, full_scale=args.full_scale
+        scenario, methods=methods, master_seed=seed, full_scale=args.full_scale
     )
     print(
-        f"running {len(specs)} scenario(s) x {len(methods)} method(s), "
-        f"seed {specs[0].master_seed}",
+        f"running {len(specs)} scenario(s) x {len(methods)} method(s), seed {seed}",
         file=sys.stderr,
     )
     grid = run_grid(specs, workers=args.workers)
@@ -279,6 +281,7 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
+        warnings.simplefilter("default")
         warnings.showwarning = _print_warning
         return _run(args)
 

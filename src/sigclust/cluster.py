@@ -310,26 +310,3 @@ def theoretical_ci(eigenvalues) -> float:
     if not np.all(np.isfinite(lam)) or np.any(lam <= 0):
         raise InvalidDataError("eigenvalues must be positive and finite")
     return float(1.0 - (2.0 / np.pi) * (lam.max() / lam.sum()))
-
-
-def hard_bias_diagnostic(lam, delta1: float, delta_total: float) -> float:
-    """Signed population-index bias induced by a distorted spectrum.
-
-    Given the true eigenvalues ``lam``, a bias ``delta1`` on the top
-    eigenvalue and ``delta_total`` on the total variation, returns
-
-        (sum(lam) * delta1 - lam_1 * delta_total)
-        / (sum(lam) * (sum(lam) + delta_total)).
-
-    Negative values flag an anti-conservative regime (the distorted null
-    looks more clustered than the truth). Diagnostic only; not used in the
-    decision path.
-    """
-    lam = np.asarray(lam, dtype=np.float64)
-    if lam.ndim != 1 or lam.size == 0 or np.any(lam <= 0):
-        raise InvalidDataError("eigenvalues must be a nonempty positive vector")
-    total = float(lam.sum())
-    if total + delta_total <= 0:
-        raise InvalidConfigError("total variation plus its bias must be positive")
-    top = float(lam.max())
-    return (total * delta1 - top * delta_total) / (total * (total + delta_total))

@@ -74,10 +74,14 @@ def check_methods(methods: tuple[str, ...]) -> None:
             raise InvalidConfigError(f"method {m!r} is listed twice")
 
 
-def check_seed(master_seed: int | None) -> None:
-    """Raise InvalidConfigError for a negative master seed; None is valid."""
-    if master_seed is not None and master_seed < 0:
+def resolve_seed(master_seed: int | None) -> int:
+    """The master seed to run with: a missing one is drawn from OS entropy
+    (64 bits); a negative one raises InvalidConfigError."""
+    if master_seed is None:
+        return seed_int(np.random.SeedSequence())
+    if master_seed < 0:
         raise InvalidConfigError(f"master_seed must be >= 0, got {master_seed}")
+    return master_seed
 
 
 def check_workers(workers: int) -> None:
@@ -119,9 +123,7 @@ class TestConfig:
         if self.restarts_null < 1 or self.restarts_observed < 1:
             raise InvalidConfigError("restart counts must be >= 1")
         check_workers(self.workers)
-        check_seed(self.master_seed)
-        if self.master_seed is None:
-            object.__setattr__(self, "master_seed", seed_int(np.random.SeedSequence()))
+        object.__setattr__(self, "master_seed", resolve_seed(self.master_seed))
         if self.labels is not None:
             object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
         if self.true_eigenvalues is not None:

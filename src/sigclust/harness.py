@@ -12,8 +12,8 @@ the package.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -22,7 +22,7 @@ import numpy as np
 
 from ._streams import SCENARIO_DATA, SCENARIO_TEST, as_generator, seed_int, stream
 from .engine import (
-    METHODS, MIN_N_SIM, TestConfig, _pool, _run_tests, check_methods, check_seed, check_workers,
+    METHODS, MIN_N_SIM, TestConfig, _pool, _run_tests, check_methods, check_workers, resolve_seed,
 )
 from .errors import InvalidConfigError, ParseError, SigClustError
 from .linalg import DataMatrix
@@ -73,9 +73,7 @@ class ScenarioSpec:
         if self.n_sim < MIN_N_SIM:
             raise InvalidConfigError(f"n_sim must be >= {MIN_N_SIM}, got {self.n_sim}")
         check_methods(self.methods)
-        check_seed(self.master_seed)
-        if self.master_seed is None:
-            object.__setattr__(self, "master_seed", seed_int(np.random.SeedSequence()))
+        object.__setattr__(self, "master_seed", resolve_seed(self.master_seed))
 
 
 def generate_scenario_sample(spec: ScenarioSpec, rep: int) -> DataMatrix:
@@ -142,9 +140,14 @@ class CellSummary:
     pvalues: np.ndarray
     warnings: tuple[str, ...] = ()
 
+    def _n_valid(self) -> int:
+        return int(np.count_nonzero(~np.isnan(self.pvalues)))
+
     @property
     def mean_p(self) -> float:
-        return float(np.nanmean(self.pvalues))
+        """Mean of the valid p-values; NaN when every rep failed."""
+        count = self._n_valid()
+        return float(np.nansum(self.pvalues) / count) if count else math.nan
 
     @property
     def p5_count(self) -> int:
@@ -155,15 +158,13 @@ class CellSummary:
         return int(np.count_nonzero(self.pvalues < 0.1))
 
     def rejection_rate(self, level: float = 0.05) -> float:
-        valid = self.pvalues[~np.isnan(self.pvalues)]
-        if valid.size == 0:
-            return float("nan")
-        return float(np.count_nonzero(valid < level) / valid.size)
+        count = self._n_valid()
+        return float(np.count_nonzero(self.pvalues < level) / count) if count else math.nan
 
 
 @dataclass(frozen=True)
 class GridSummary:
-    """All cells of a grid run, in (scenario, method) order."""
+    """All cells of a grid run: per scenario, one per method of its spec, in order."""
 
     cells: tuple[CellSummary, ...]
 
@@ -182,8 +183,8 @@ def run_grid(specs, workers: int = 1) -> GridSummary:
     cells = []
     with _pool(workers) as pool:
         for spec in specs:
-            pvals = {m: np.full(spec.reps, np.nan) for m in spec.methods}
-            warns: dict[str, list[str]] = {m: [] for m in spec.methods}
+            pvals = np.full((len(spec.methods), spec.reps), np.nan)
+            warns: list[str] = []
             true_eigs = true_null_eigenvalues(spec) if "true" in spec.methods else None
             for rep in range(spec.reps):
                 try:
@@ -196,19 +197,15 @@ def run_grid(specs, workers: int = 1) -> GridSummary:
                     )
                     reports = _run_tests(x, config, spec.methods, pool)
                 except SigClustError as err:
-                    for m in spec.methods:
-                        warns[m].append(f"rep {rep}: {err}")
+                    warns.append(f"rep {rep}: {err}")
                     continue
-                for m in spec.methods:
-                    pvals[m][rep] = reports[m].p_empirical
-                    for w in reports[m].warnings:
-                        warns[m].append(f"rep {rep}: {w}")
-            for m in spec.methods:
-                cells.append(
-                    CellSummary(
-                        spec=spec, method=m, pvalues=pvals[m], warnings=tuple(warns[m])
-                    )
-                )
+                pvals[:, rep] = [reports[m].p_empirical for m in spec.methods]
+                # Every method of a run carries the run's warnings.
+                warns += (f"rep {rep}: {w}" for w in reports[spec.methods[0]].warnings)
+            cells += (
+                CellSummary(spec=spec, method=m, pvalues=p, warnings=tuple(warns))
+                for m, p in zip(spec.methods, pvals)
+            )
     return GridSummary(cells=tuple(cells))
 
 
@@ -231,9 +228,7 @@ def load_scenario_file(
     that equal (rep, seed) pairs reuse identical Gaussian draws; a negative
     one raises before the file is read.
     """
-    check_seed(master_seed)
-    if master_seed is None:
-        master_seed = seed_int(np.random.SeedSequence())
+    master_seed = resolve_seed(master_seed)
     specs = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -274,25 +269,30 @@ def load_scenario_file(
 def summary_rows(grid: GridSummary) -> tuple[list[str], list[list]]:
     """Header and rows of the wide per-scenario summary table.
 
-    One row per scenario with mean, P5, and P10 columns for each method of
-    any cell, in order of first appearance; a scenario that lacks a method
-    leaves its three cells empty.
+    One row per scenario run, with mean, P5, and P10 columns for each method
+    of any cell, in order of first appearance; a scenario that lacks a method
+    leaves its three cells empty, and one whose reps all failed leaves its
+    mean empty.
     """
     methods = list(dict.fromkeys(c.method for c in grid.cells))
     head = list(SCENARIO_COLUMNS)
     for m in methods:
         head += [f"{m}_mean", f"{m}_p5", f"{m}_p10"]
-    rows = []
-    for _, cells in itertools.groupby(grid.cells, key=lambda c: id(c.spec)):
-        by_method = {c.method: c for c in cells}
-        spec = next(iter(by_method.values())).spec
+    rows, i = [], 0
+    while i < len(grid.cells):
+        spec = grid.cells[i].spec
+        by_method = {c.method: c for c in grid.cells[i : i + len(spec.methods)]}
+        i += len(spec.methods)
         row = [
             f"{spec.v:g}", spec.w, spec.d, spec.n, f"{spec.signal_a:g}",
             spec.signal_mode, spec.reps, spec.n_sim,
         ]
         for m in methods:
             c = by_method.get(m)
-            row += ["", "", ""] if c is None else [f"{c.mean_p:.6g}", c.p5_count, c.p10_count]
+            if c is None:
+                row += ["", "", ""]
+                continue
+            row += ["" if math.isnan(c.mean_p) else f"{c.mean_p:.6g}", c.p5_count, c.p10_count]
         rows.append(row)
     return head, rows
 
@@ -323,7 +323,7 @@ def write_summary_json(grid: GridSummary, path) -> None:
                 "n_sim": spec.n_sim,
                 "master_seed": spec.master_seed,
                 "method": cell.method,
-                "mean_p": cell.mean_p,
+                "mean_p": None if math.isnan(cell.mean_p) else cell.mean_p,
                 "p5_count": cell.p5_count,
                 "p10_count": cell.p10_count,
                 "pvalues": [None if np.isnan(p) else float(p) for p in cell.pvalues],

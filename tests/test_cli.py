@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sigclust
+from sigclust import TooLargeError
 from sigclust.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -103,6 +104,17 @@ def test_exit_code_linalg_and_memory_failures(matrix_file, capsys, monkeypatch, 
     assert "Traceback" not in err
 
 
+def test_other_library_error_is_exit_7(matrix_file, capsys, monkeypatch):
+    def fail(x, config):
+        raise TooLargeError("synthetic: too large")
+
+    monkeypatch.setattr("sigclust.cli.run_test", fail)
+    assert main(["test", str(matrix_file), "--nsim", "100", "--seed", "1"]) == EXIT_OTHER
+    captured = capsys.readouterr()
+    assert captured.err == "error: synthetic: too large\n"
+    assert captured.out == ""
+
+
 def test_exit_code_bad_config(matrix_file, capsys):
     assert main(["test", str(matrix_file), "--nsim", "50"]) == EXIT_CONFIG
     assert main(["test", str(matrix_file), "--method", "true", "--nsim", "100"]) == EXIT_CONFIG
@@ -159,12 +171,30 @@ def test_spectrum_subcommand(matrix_file, capsys):
     assert len(data_lines) == 30
 
 
+def test_spectrum_out_writes_csv(matrix_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["spectrum", str(matrix_file), "--out", str(out)]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert stdout.endswith(f"wrote: {out / 'spectrum.csv'}\n")
+    assert "index,sample,hard,soft" not in stdout
+    lines = (out / "spectrum.csv").read_text().splitlines()
+    assert lines[0] == "index,sample,hard,soft"
+    assert len(lines) == 31
+
+
 def test_tci_subcommand(tmp_path, capsys):
     spec = tmp_path / "spec.txt"
     spec.write_text("100\n" + "\n".join(["1"] * 999) + "\n")
     assert main(["tci", str(spec)]) == EXIT_OK
     value = float(capsys.readouterr().out.strip())
     assert value == pytest.approx(1.0 - (2.0 / np.pi) * (100.0 / 1099.0), rel=1e-8)
+
+
+def test_tci_without_eigenvalues_is_a_parse_error(tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    spec.write_text("# no values\n\n")
+    assert main(["tci", str(spec)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {spec}: no eigenvalues found\n"
 
 
 def test_module_entry_point_runs_a_command(tmp_path):
@@ -399,6 +429,29 @@ def test_load_matrix_warnings_are_warning_lines(tmp_path, capsys):
         f"warning: {path}: treating the first column as row names",
     ]
     assert "UserWarning" not in err
+
+
+def test_warnings_as_errors_still_print_warning_lines(tmp_path):
+    # Interpreters run with -W error (or PYTHONWARNINGS=error) must not turn
+    # the loader's warnings into tracebacks.
+    values = np.random.default_rng(8).normal(size=(20, 10))
+    values[0, :5] += 6.0  # a spike, so the soft estimate needs no fallback warning
+    rows = [",".join(["gene"] + [f"s{j}" for j in range(10)])]
+    rows += [",".join([f"g{i}"] + [repr(float(v)) for v in row]) for i, row in enumerate(values)]
+    path = tmp_path / "named.csv"
+    path.write_text("\n".join(rows) + "\n")
+    src = str(Path(sigclust.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "sigclust.cli", "spectrum", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"warning: {path}: treating the first row as a header",
+        f"warning: {path}: treating the first column as row names",
+    ]
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("failure,code,message", [

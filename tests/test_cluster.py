@@ -11,7 +11,6 @@ from sigclust import (
     InvalidLabelsError,
     TooLargeError,
     cluster_index_for_labels,
-    hard_bias_diagnostic,
     theoretical_ci,
     two_means_ci,
     two_means_exhaustive,
@@ -391,6 +390,29 @@ class TestTheoreticalCI:
         with pytest.raises(InvalidDataError):
             theoretical_ci([1.0, -2.0])
 
+    @pytest.mark.parametrize(
+        "lam, delta1, delta_total, expected",
+        [
+            (np.r_[100.0, np.ones(999)], 0.0, 0.0, 0.0),
+            (np.r_[100.0, np.ones(999)], 10.0, 0.0, 10.0 / 1099.0),
+            (
+                np.r_[1000.0, np.ones(999)], 10.0, 900.0,
+                (1999.0 * 10.0 - 1000.0 * 900.0) / (1999.0 * 2899.0),
+            ),
+        ],
+        ids=["unbiased_case", "top_bias_only", "anti_conservative_regime"],
+    )
+    def test_distorted_spectrum_shift(self, lam, delta1, delta_total, expected):
+        # Raising the top eigenvalue by delta1 and the total by delta_total
+        # lowers the index by (2/pi) (S delta1 - lam_1 delta_total) / (S (S + delta_total)),
+        # S = sum(lam): it rises (anti-conservative) when the total grows enough.
+        biased = lam.copy()
+        biased[0] += delta1
+        biased[1:] += (delta_total - delta1) / (lam.size - 1)
+        assert biased.min() > 0 and biased.sum() == pytest.approx(lam.sum() + delta_total)
+        shift = (np.pi / 2) * (theoretical_ci(lam) - theoretical_ci(biased))
+        assert shift == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_monte_carlo_consistency_smoke(self):
         # Split a diagonal Gaussian at the sign of the first coordinate and
         # compare the empirical index against the closed form (full-accuracy
@@ -402,22 +424,3 @@ class TestTheoreticalCI:
         labels = np.where(x[0] > 0, 1, 2)
         split = cluster_index_for_labels(DataMatrix(x), labels)
         assert split.ci == pytest.approx(theoretical_ci(lam), abs=0.01)
-
-
-class TestHardBiasDiagnostic:
-    LAM_SMALL = np.r_[100.0, np.ones(999)]
-    LAM_BIG = np.r_[1000.0, np.ones(999)]
-
-    def test_unbiased_case(self):
-        assert hard_bias_diagnostic(self.LAM_SMALL, 0.0, 0.0) == 0.0
-
-    def test_top_bias_only(self):
-        out = hard_bias_diagnostic(self.LAM_SMALL, 10.0, 0.0)
-        assert out == pytest.approx(10.0 / 1099.0, rel=1e-12)
-        assert out > 0
-
-    def test_anti_conservative_regime(self):
-        out = hard_bias_diagnostic(self.LAM_BIG, 10.0, 900.0)
-        expected = (1999.0 * 10.0 - 1000.0 * 900.0) / (1999.0 * 2899.0)
-        assert out == pytest.approx(expected, rel=1e-12)
-        assert out < 0

@@ -445,6 +445,13 @@ class TestRunTest:
         rerun = run_test(x, make_config(method=config.method, master_seed=report.seed))
         np.testing.assert_array_equal(report.null_cis, rerun.null_cis)
 
+    def test_resolve_seed(self):
+        drawn = engine.resolve_seed(None)
+        assert isinstance(drawn, int) and 0 <= drawn < 2**64
+        assert engine.resolve_seed(5) == 5
+        with pytest.raises(InvalidConfigError, match="master_seed must be >= 0, got -1"):
+            engine.resolve_seed(-1)
+
 
 class TestTrueMethodCalibration:
     def test_null_pvalues_roughly_uniform_smoke(self):

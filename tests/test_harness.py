@@ -1,10 +1,13 @@
+import json
 import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
 
 import sigclust.harness as harness
 from sigclust import (
+    DegenerateNoiseError,
     InvalidConfigError,
     NullSpectrum,
     ParseError,
@@ -84,6 +87,10 @@ class TestScenarioSamples:
             make_spec(w=30, d=20)
         with pytest.raises(InvalidConfigError):
             make_spec(v=0.5)
+        with pytest.raises(InvalidConfigError, match="signal_a must be >= 0"):
+            make_spec(signal_mode="first", signal_a=-1.0)
+        with pytest.raises(InvalidConfigError, match="reps must be >= 1"):
+            make_spec(reps=0)
         with pytest.raises(InvalidConfigError):
             make_spec(methods=("bogus",))
         with pytest.raises(InvalidConfigError):
@@ -169,6 +176,14 @@ class TestRunGrid:
         assert not np.any(np.isnan(cell.pvalues[1:]))
         assert any("rep 0" in w for w in cell.warnings)
         assert cell.p5_count <= cell.p10_count <= 3
+
+    def test_report_warning_is_listed_once_per_cell(self):
+        spec = make_spec(d=6, n=2, reps=2, methods=("sample", "hard"))
+        grid = run_grid([spec])
+        assert len(grid.cells) == 2
+        for cell in grid.cells:
+            assert [w.split(":")[0] for w in cell.warnings] == ["rep 0", "rep 1"]
+            assert all("cannot reject" in w for w in cell.warnings)
 
     def test_true_method_uses_scenario_spectrum(self):
         spec = make_spec(d=10, n=12, v=3.0, w=1, reps=2, methods=("true",))
@@ -289,6 +304,35 @@ class TestSummaries:
         assert lines[0] == ",".join(head)
         assert lines[2].split(",")[8:11] == ["", "", ""]
 
+    def test_repeated_spec_gives_a_row_per_run(self):
+        spec = make_spec(d=6, n=8, reps=2)
+        grid = run_grid([spec, spec])
+        assert len(grid.cells) == 2
+        _, rows = summary_rows(grid)
+        assert len(rows) == 2
+        assert rows[0] == rows[1]
+
+    def test_fully_failed_cell_writes_null_and_empty_mean(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise DegenerateNoiseError("synthetic failure")
+
+        monkeypatch.setattr(harness, "_run_tests", fail)
+        grid = run_grid([make_spec(d=6, n=8, reps=2)])
+        cell = grid.cells[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(cell.mean_p) and np.isnan(cell.rejection_rate())
+        assert cell.warnings == ("rep 0: synthetic failure", "rep 1: synthetic failure")
+
+        write_summary_json(grid, tmp_path / "summary.json")
+        text = (tmp_path / "summary.json").read_text()
+        payload = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-strict {c}"))
+        assert payload["cells"][0]["mean_p"] is None
+        assert payload["cells"][0]["pvalues"] == [None, None]
+        write_summary_csv(grid, tmp_path / "summary.csv")
+        lines = (tmp_path / "summary.csv").read_text().splitlines()
+        assert lines[1].split(",")[8:] == ["", "0", "0"]
+
     def test_csv_and_json_outputs(self, tmp_path):
         spec = make_spec(d=8, n=10, reps=3, methods=("sample", "hard"))
         grid = run_grid([spec])
@@ -303,8 +347,6 @@ class TestSummaries:
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("v,w,d,n,a,mode,reps,n_sim")
-
-        import json
 
         json_path = tmp_path / "summary.json"
         write_summary_json(grid, json_path)

@@ -86,6 +86,12 @@ class TestLoadMatrix:
         assert (x.d, x.n) == (2, 2)
         np.testing.assert_array_equal(x.values, [[3, 4], [5, 6]])
 
+    def test_unknown_flag_value_is_bad_config(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n3,4\n")
+        with pytest.raises(InvalidConfigError, match='header and row_names must be'):
+            load_matrix(path, header="maybe")
+
     def test_all_numeric_stays_untouched(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1990,2000\n1,2\n3,4\n")

@@ -10,9 +10,11 @@ from sigclust import (
     DegenerateNoiseError,
     EigenSpectrum,
     InvalidConfigError,
+    InvalidDataError,
     MAD_STD_NORMAL,
     NoiseEstimate,
     NoTraceSolutionError,
+    NullSpectrum,
     SpikeBelowBulkError,
     estimate_noise,
     hard_threshold,
@@ -247,6 +249,21 @@ class TestRmtPrediction:
             rmt_predicted_spectrum(v=100.0, w=1, n=100, d=50)  # d <= n
         with pytest.raises(InvalidConfigError):
             rmt_predicted_spectrum(v=100.0, w=100, n=100, d=1000)  # w >= n
+
+
+@pytest.mark.parametrize("method,eigenvalues,error,message", [
+    ("bogus", [1.0], InvalidConfigError, "unknown spectrum method 'bogus'"),
+    ("true", [[1.0]], InvalidDataError, "nonempty 1-d"),
+    ("true", [], InvalidDataError, "nonempty 1-d"),
+    ("true", [2.0, np.nan], InvalidDataError, "NaN or infinite"),
+    ("true", [1.0, 2.0], InvalidDataError, "sorted descending"),
+    ("true", [1.0, -1.0], InvalidDataError, "nonnegative with positive sum"),
+    ("true", [0.0, 0.0], InvalidDataError, "nonnegative with positive sum"),
+    ("hard", [1.0, 0.0], InvalidDataError, "hard spectrum must be strictly positive"),
+], ids=["method", "2-d", "empty", "nan", "ascending", "negative", "zero-sum", "hard-zero"])
+def test_null_spectrum_validation(method, eigenvalues, error, message):
+    with pytest.raises(error, match=message):
+        NullSpectrum(method=method, eigenvalues=np.asarray(eigenvalues, dtype=np.float64))
 
 
 def test_thresholding_composes_with_sample_spectrum():
