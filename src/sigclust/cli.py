@@ -12,13 +12,15 @@ data/noise, 5 I/O error, 6 bad configuration (a bad scenario row names
 its line; a bad ``--methods``, ``--seed`` or ``--workers`` is rejected
 before any row is read), 7 other library error (a linear-algebra
 failure, running out of memory or a worker process dying included),
-130 interrupted.
+130 interrupted, 141 stdout closed by its reader (as SIGPIPE ends a Unix tool).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import os
 import sys
 import warnings
 from concurrent.futures.process import BrokenProcessPool
@@ -65,6 +67,7 @@ EXIT_IO = 5
 EXIT_CONFIG = 6
 EXIT_OTHER = 7
 EXIT_INTERRUPTED = 130
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def _add_matrix_args(parser):
@@ -159,8 +162,6 @@ def _load_input(args):
 
 
 def _cmd_test(args) -> int:
-    x = _load_input(args)
-    labels = load_labels(args.labels, x.n) if args.labels else None
     true_eigs = (
         load_eigenvalue_file(args.true_eigenvalues) if args.true_eigenvalues else None
     )
@@ -172,10 +173,12 @@ def _cmd_test(args) -> int:
         master_seed=args.seed,
         restarts_null=args.restarts_null,
         restarts_observed=args.restarts_observed,
-        labels=labels,
         true_eigenvalues=true_eigs,
         workers=args.workers,
     )
+    x = _load_input(args)
+    if args.labels:
+        config = dataclasses.replace(config, labels=load_labels(args.labels, x.n))
     report = run_test(x, config)
 
     print(f"method:               {report.method}")
@@ -298,6 +301,10 @@ def _run(args) -> int:
     except (DegenerateDataError, DegenerateNoiseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except BrokenPipeError:
+        # No reader is left to tell; devnull keeps the final flush from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO

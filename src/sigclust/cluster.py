@@ -235,20 +235,16 @@ def two_means_ci(x: DataMatrix, restarts: int = 20, seed=None) -> ClusterSplit:
     emptied cluster is refilled with the point farthest from the surviving
     centroid. The sweeps run in kernel form on the n-by-n Gram matrix of
     the centered observations, in the null's stacked kernel as a stack of
-    one; the winning split's wss is then recomputed directly from the
-    data. The returned index is an upper bound on the global optimum and
-    is deterministic given the seed.
+    one; the winning split is then scored directly from the data by
+    :func:`cluster_index_for_labels`, which raises on degenerate data. The
+    returned index is an upper bound on the global optimum and is
+    deterministic given the seed.
     """
     if restarts < 1:
         raise InvalidConfigError("restarts must be >= 1")
-    tss = _tss(x.values)
-    if tss <= 0.0:
-        raise DegenerateDataError("total sum of squares is zero; no cluster structure")
     first, second = _start_pairs(x.n, restarts, as_generator(seed))
     in2, _ = _best_splits(_gram(x.values)[None], first[None], second[None])
-    labels = np.where(in2[0], 2, 1)
-    wss = _wss(x.values, labels)  # recompute in the well-conditioned direct form
-    return ClusterSplit(labels=labels, wss=wss, tss=tss, ci=wss / tss)
+    return cluster_index_for_labels(x, np.where(in2[0], 2, 1))
 
 
 def two_means_exhaustive(x: DataMatrix) -> ClusterSplit:
@@ -262,9 +258,6 @@ def two_means_exhaustive(x: DataMatrix) -> ClusterSplit:
         raise TooLargeError(
             f"exhaustive search needs n <= {EXHAUSTIVE_MAX_N}, got {n}"
         )
-    tss = _tss(x.values)
-    if tss <= 0.0:
-        raise DegenerateDataError("total sum of squares is zero; no cluster structure")
     # Work on grand-mean-centered columns; wss is translation invariant and
     # the sum formula below is better conditioned this way.
     xc = x.values - x.values.mean(axis=1, keepdims=True)

@@ -125,7 +125,7 @@ class TestConfig:
         check_workers(self.workers)
         object.__setattr__(self, "master_seed", resolve_seed(self.master_seed))
         if self.labels is not None:
-            object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
+            object.__setattr__(self, "labels", np.asarray(self.labels))
         if self.true_eigenvalues is not None:
             lam = np.sort(np.asarray(self.true_eigenvalues, dtype=np.float64))[::-1]
             object.__setattr__(self, "true_eigenvalues", lam)

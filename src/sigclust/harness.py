@@ -28,11 +28,18 @@ from .errors import InvalidConfigError, ParseError, SigClustError
 from .linalg import DataMatrix
 
 MODES = ("none", "first", "all")
-SCENARIO_COLUMNS = ("v", "w", "d", "n", "a", "mode", "reps", "n_sim")
+# Scenario-file column -> (ScenarioSpec field, cell parser), in file order.
+_COLUMNS = {
+    "v": ("v", float), "w": ("w", int), "d": ("d", int), "n": ("n", int),
+    "a": ("signal_a", float), "mode": ("signal_mode", lambda cell: cell.strip().lower()),
+    "reps": ("reps", int), "n_sim": ("n_sim", int),
+}
+SCENARIO_COLUMNS = tuple(_COLUMNS)
 
-# Desk-scale caps applied to scenario files unless full scale is requested.
+# Desk-scale caps, by ScenarioSpec field, for scenario files run below full scale.
 DESK_REPS_CAP = 20
 DESK_NSIM_CAP = 200
+_DESK_CAPS = {"reps": DESK_REPS_CAP, "n_sim": DESK_NSIM_CAP}
 
 
 @dataclass(frozen=True)
@@ -60,10 +67,14 @@ class ScenarioSpec:
             raise InvalidConfigError(
                 f"signal_mode must be one of {MODES}, got {self.signal_mode!r}"
             )
+        if not (math.isfinite(self.v) and math.isfinite(self.signal_a)):
+            raise InvalidConfigError(f"need finite v and signal_a, got {self.v}, {self.signal_a}")
         if self.signal_mode == "none" and self.signal_a != 0.0:
             raise InvalidConfigError('signal_a must be 0 when signal_mode is "none"')
         if self.signal_a < 0.0:
             raise InvalidConfigError("signal_a must be >= 0")
+        if self.d < 1 or self.n < 2:
+            raise InvalidConfigError(f"need d >= 1 and n >= 2, got d={self.d}, n={self.n}")
         if not 0 <= self.w <= self.d:
             raise InvalidConfigError(f"need 0 <= w <= d, got w={self.w}, d={self.d}")
         if self.v < 1.0:
@@ -222,42 +233,30 @@ def load_scenario_file(
 ) -> list[ScenarioSpec]:
     """Parse a scenario CSV into specs.
 
-    The file needs a header with columns v, w, d, n, a, mode, reps, n_sim.
-    Unless ``full_scale`` is set, reps and n_sim are capped at the
-    desk-scale profile (20 and 200). All scenarios share ``master_seed`` so
-    that equal (rep, seed) pairs reuse identical Gaussian draws; a negative
-    one raises before the file is read.
+    The file needs a header with columns v, w, d, n, a, mode, reps, n_sim,
+    and every row as wide as the header. Unless ``full_scale`` is set, reps
+    and n_sim are capped at the desk-scale profile (20 and 200). All
+    scenarios share ``master_seed`` so that equal (rep, seed) pairs reuse
+    identical Gaussian draws; a negative one raises before the file is read.
     """
     master_seed = resolve_seed(master_seed)
-    specs = []
+    methods, specs = tuple(methods), []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = tuple(reader.fieldnames or ())
-        missing = [c for c in SCENARIO_COLUMNS if c not in header]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in _COLUMNS if c not in header]
         if missing:
             raise ParseError(f"{path}: scenario file is missing columns {missing}", line=1)
-        for i, row in enumerate(reader, start=2):
+        for cells in filter(None, reader):  # blank lines skipped
+            i = reader.line_num
             try:
-                reps = int(row["reps"])
-                n_sim = int(row["n_sim"])
+                if len(cells) != len(header):
+                    raise ValueError(f"expected {len(header)} cells, got {len(cells)}")
+                fields = {f: parse(cells[header.index(c)]) for c, (f, parse) in _COLUMNS.items()}
                 if not full_scale:
-                    reps = min(reps, DESK_REPS_CAP)
-                    n_sim = min(n_sim, DESK_NSIM_CAP)
-                specs.append(
-                    ScenarioSpec(
-                        d=int(row["d"]),
-                        n=int(row["n"]),
-                        v=float(row["v"]),
-                        w=int(row["w"]),
-                        signal_a=float(row["a"]),
-                        signal_mode=row["mode"].strip().lower(),
-                        reps=reps,
-                        n_sim=n_sim,
-                        methods=tuple(methods),
-                        master_seed=master_seed,
-                    )
-                )
-            except (ValueError, KeyError) as err:
+                    fields.update({f: min(fields[f], cap) for f, cap in _DESK_CAPS.items()})
+                specs.append(ScenarioSpec(**fields, methods=methods, master_seed=master_seed))
+            except ValueError as err:
                 raise ParseError(f"{path}: line {i}: bad scenario row: {err}", line=i) from err
             except InvalidConfigError as err:
                 raise InvalidConfigError(f"{path}: line {i}: {err}") from err
@@ -283,10 +282,8 @@ def summary_rows(grid: GridSummary) -> tuple[list[str], list[list]]:
         spec = grid.cells[i].spec
         by_method = {c.method: c for c in grid.cells[i : i + len(spec.methods)]}
         i += len(spec.methods)
-        row = [
-            f"{spec.v:g}", spec.w, spec.d, spec.n, f"{spec.signal_a:g}",
-            spec.signal_mode, spec.reps, spec.n_sim,
-        ]
+        row = [f"{getattr(spec, f):g}" if parse is float else getattr(spec, f)
+               for f, parse in _COLUMNS.values()]
         for m in methods:
             c = by_method.get(m)
             if c is None:
@@ -313,14 +310,7 @@ def write_summary_json(grid: GridSummary, path) -> None:
         spec = cell.spec
         cells.append(
             {
-                "v": spec.v,
-                "w": spec.w,
-                "d": spec.d,
-                "n": spec.n,
-                "a": spec.signal_a,
-                "mode": spec.signal_mode,
-                "reps": spec.reps,
-                "n_sim": spec.n_sim,
+                **{col: getattr(spec, field) for col, (field, _) in _COLUMNS.items()},
                 "master_seed": spec.master_seed,
                 "method": cell.method,
                 "mean_p": None if math.isnan(cell.mean_p) else cell.mean_p,

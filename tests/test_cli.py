@@ -12,6 +12,7 @@ import pytest
 import sigclust
 from sigclust import TooLargeError
 from sigclust.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CONFIG,
     EXIT_DEGENERATE,
     EXIT_INTERRUPTED,
@@ -120,6 +121,18 @@ def test_exit_code_bad_config(matrix_file, capsys):
     assert main(["test", str(matrix_file), "--method", "true", "--nsim", "100"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("flags", [
+    ["--nsim", "5"], ["--workers", "0"], ["--restarts-null", "0"], ["--restarts-observed", "0"],
+    ["--seed", "-1"], ["--method", "true"],
+], ids=["nsim", "workers", "restarts-null", "restarts-observed", "seed", "true-without-file"])
+def test_test_flags_are_checked_before_the_matrix_is_read(matrix_file, capsys, monkeypatch, flags):
+    monkeypatch.setattr("sigclust.cli.load_matrix", lambda *a, **k: pytest.fail("matrix read"))
+    assert main(["test", str(matrix_file)] + flags) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("option,lines,extra", [
     ("--labels", ["1", "2"] * 7, []),  # 14 labels for 15 observations
     ("--labels", ["1"] * 15, []),  # every observation in one cluster
@@ -197,14 +210,18 @@ def test_tci_without_eigenvalues_is_a_parse_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {spec}: no eigenvalues found\n"
 
 
+def _module_env():
+    """Environment in which a child ``python -m sigclust.cli`` imports this sigclust."""
+    src = str(Path(sigclust.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_module_entry_point_runs_a_command(tmp_path):
     spec = tmp_path / "spec.txt"
     spec.write_text("100\n" + "\n".join(["1"] * 999) + "\n")
-    src = str(Path(sigclust.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sigclust.cli", "tci", str(spec)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_module_env(), timeout=120,
     )
     assert proc.returncode == EXIT_OK
     assert float(proc.stdout) == pytest.approx(1.0 - (2.0 / np.pi) * (100.0 / 1099.0), rel=1e-8)
@@ -282,7 +299,9 @@ def test_scenario_file_and_seed_errors(tmp_path, capsys, monkeypatch, text, argv
     ("1,7,6,8,0,none,2,100", EXIT_CONFIG, "need 0 <= w <= d, got w=7, d=6"),
     ("1,0,6,8,0,sideways,2,100", EXIT_CONFIG, "signal_mode must be one of"),
     ("1,x,6,8,0,none,2,100", EXIT_PARSE, "bad scenario row: invalid literal"),
-], ids=["w-above-d", "bad-mode", "not-a-number"])
+    ("1,0,6,1,0,none,2,100", EXIT_CONFIG, "need d >= 1 and n >= 2, got d=6, n=1"),
+    ("1,0,6,8,0", EXIT_PARSE, "bad scenario row: expected 8 cells, got 5"),
+], ids=["w-above-d", "bad-mode", "not-a-number", "one-observation", "short-row"])
 def test_rejected_scenario_row_names_its_line(tmp_path, capsys, monkeypatch, row, code, message):
     monkeypatch.setattr("sigclust.harness._run_tests", lambda *a: pytest.fail("a rep ran"))
     scenario = tmp_path / "scenario.csv"
@@ -335,14 +354,13 @@ def test_one_column_file_loads_as_one_variable(tmp_path, capsys):
 
 
 def test_runtime_imports_no_scipy():
-    src = str(Path(sigclust.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sigclust, sigclust.cli, sys; "
         "print('\\n'.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=_module_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
@@ -440,11 +458,9 @@ def test_warnings_as_errors_still_print_warning_lines(tmp_path):
     rows += [",".join([f"g{i}"] + [repr(float(v)) for v in row]) for i, row in enumerate(values)]
     path = tmp_path / "named.csv"
     path.write_text("\n".join(rows) + "\n")
-    src = str(Path(sigclust.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "sigclust.cli", "spectrum", str(path)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_module_env(), timeout=120,
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stderr.splitlines() == [
@@ -452,6 +468,24 @@ def test_warnings_as_errors_still_print_warning_lines(tmp_path):
         f"warning: {path}: treating the first column as row names",
     ]
     assert "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    # 5000 spectrum lines are more than a pipe holds, so the writer meets
+    # the closed pipe after its reader has gone.
+    values = np.random.default_rng(4).normal(size=(5000, 6))
+    values[0, :3] += 60.0  # a spike, so the soft estimate needs no fallback warning
+    path = _write_matrix(tmp_path / "big.csv", values)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sigclust.cli", "spectrum", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(),
+    )
+    assert proc.stdout.readline() == b"d=5000 n=6\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
+    assert stderr == ""  # no error line, no Traceback, no "Exception ignored"
 
 
 @pytest.mark.parametrize("failure,code,message", [

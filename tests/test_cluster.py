@@ -341,6 +341,11 @@ class TestExhaustive:
         with pytest.raises(TooLargeError):
             two_means_exhaustive(DataMatrix(rng.normal(size=(2, 21))))
 
+    def test_degenerate_data(self):
+        x = DataMatrix(np.tile(np.arange(3.0)[:, None], (1, 6)))
+        with pytest.raises(DegenerateDataError, match="total sum of squares is zero"):
+            two_means_exhaustive(x)
+
     def test_oracle_dominance_small_sample(self):
         rng = np.random.default_rng(6)
         hits = 0

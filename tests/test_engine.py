@@ -9,6 +9,7 @@ from scipy.special import ndtr
 from sigclust import (
     DataMatrix,
     InvalidConfigError,
+    InvalidLabelsError,
     InvalidSpectraError,
     NullSpectrum,
     TestConfig,
@@ -366,6 +367,16 @@ class TestRunTest:
         report = run_test(x, make_config(method="sample", labels=labels))
         assert report.observed_mode == "known-labels"
         assert report.ci_observed == cluster_index_for_labels(x, labels).ci
+
+    def test_known_labels_are_scored_as_given(self):
+        x = DataMatrix(np.random.default_rng(15).normal(size=(4, 3)))
+        with pytest.raises(InvalidLabelsError, match="values 1 or 2"):
+            run_test(x, make_config(method="sample", labels=[1.5, 2.9, 1.0]))
+        as_int = run_test(x, make_config(method="sample", labels=[1, 2, 1]))
+        as_float = run_test(x, make_config(method="sample", labels=[1.0, 2.0, 1.0]))
+        assert as_float.ci_observed == as_int.ci_observed
+        assert as_float.p_empirical == as_int.p_empirical
+        np.testing.assert_array_equal(as_float.null_cis, as_int.null_cis)
 
     def test_true_method_requires_eigenvalues(self):
         rng = np.random.default_rng(16)

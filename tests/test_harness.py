@@ -91,6 +91,13 @@ class TestScenarioSamples:
             make_spec(signal_mode="first", signal_a=-1.0)
         with pytest.raises(InvalidConfigError, match="reps must be >= 1"):
             make_spec(reps=0)
+        with pytest.raises(InvalidConfigError, match="need d >= 1 and n >= 2"):
+            make_spec(d=0)
+        with pytest.raises(InvalidConfigError, match="need d >= 1 and n >= 2"):
+            make_spec(n=1)
+        for bad in ({"v": np.nan}, {"v": np.inf}, {"signal_mode": "first", "signal_a": np.nan}):
+            with pytest.raises(InvalidConfigError, match="need finite v and signal_a"):
+                make_spec(**bad)
         with pytest.raises(InvalidConfigError):
             make_spec(methods=("bogus",))
         with pytest.raises(InvalidConfigError):
@@ -277,6 +284,17 @@ class TestScenarioFiles:
         with pytest.raises(ParseError, match="no data rows") as exc:
             load_scenario_file(empty)
         assert str(exc.value).startswith(f"{empty}: ")
+
+    @pytest.mark.parametrize("row,width", [
+        ("1,0,6,8,0", 5), ("1,0,6,8,0,none,2,100,9", 9),
+    ], ids=["short", "long"])
+    def test_row_of_wrong_width_is_a_parse_error(self, tmp_path, row, width):
+        path = tmp_path / "grid.csv"
+        path.write_text(f"v,w,d,n,a,mode,reps,n_sim\n{row}\n")
+        with pytest.raises(ParseError) as exc:
+            load_scenario_file(path, master_seed=1)
+        assert exc.value.line == 2
+        assert str(exc.value) == f"{path}: line 2: bad scenario row: expected 8 cells, got {width}"
 
     def test_negative_seed_is_rejected_before_any_row(self, tmp_path):
         path = tmp_path / "grid.csv"
