@@ -6,13 +6,13 @@ Subcommands:
   spectrum  print the sample, hard, and soft eigenvalues for a matrix
   tci       print the population cluster index for a spectrum file
 
-Exit codes: 0 success, 2 parse error, 3 invalid data (label and
-eigenvalue files that do not fit the matrix included), 4 degenerate
-data/noise, 5 I/O error, 6 bad configuration (a bad scenario row names
-its line; a bad ``--methods``, ``--seed`` or ``--workers`` is rejected
-before any row is read), 7 other library error (a linear-algebra
-failure, running out of memory or a worker process dying included),
-130 interrupted, 141 stdout closed by its reader (as SIGPIPE ends a Unix tool).
+Exit codes: 0 success; a library error exits with its type's ``exit_code``
+(see ``sigclust.errors``): 2 parse error, 3 invalid data, 4 degenerate
+data/noise, 6 bad configuration (``test`` takes ``--true-eigenvalues``
+with ``--method true`` and only with it), 7 other. Outside the library:
+5 I/O error, 7 a linear-algebra failure, running out of memory or a
+dead worker process, 130 interrupted, 141 stdout closed by its reader
+(as SIGPIPE ends a Unix tool).
 """
 
 from __future__ import annotations
@@ -35,12 +35,7 @@ from .engine import (
     run_test,
 )
 from .errors import (
-    DegenerateDataError,
-    DegenerateNoiseError,
-    InvalidConfigError,
-    InvalidDataError,
-    ParseError,
-    SigClustError,
+    DegenerateDataError, InvalidConfigError, InvalidDataError, ParseError, SigClustError,
 )
 from .harness import (
     builtin_calibration_grid_path,
@@ -60,12 +55,12 @@ from .io import (
 )
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_INVALID_DATA = 3
-EXIT_DEGENERATE = 4
+EXIT_PARSE = ParseError.exit_code
+EXIT_INVALID_DATA = InvalidDataError.exit_code
+EXIT_DEGENERATE = DegenerateDataError.exit_code
 EXIT_IO = 5
-EXIT_CONFIG = 6
-EXIT_OTHER = 7
+EXIT_CONFIG = InvalidConfigError.exit_code
+EXIT_OTHER = SigClustError.exit_code
 EXIT_INTERRUPTED = 130
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
@@ -162,11 +157,11 @@ def _load_input(args):
 
 
 def _cmd_test(args) -> int:
-    true_eigs = (
-        load_eigenvalue_file(args.true_eigenvalues) if args.true_eigenvalues else None
-    )
-    if args.method == "true" and true_eigs is None:
-        raise InvalidConfigError("--method true requires --true-eigenvalues FILE")
+    if (args.method == "true") != bool(args.true_eigenvalues):
+        raise InvalidConfigError(
+            "--method true requires --true-eigenvalues FILE, and no other method takes one"
+        )
+    true_eigs = load_eigenvalue_file(args.true_eigenvalues) if args.true_eigenvalues else None
     config = TestConfig(
         method=args.method,
         n_sim=args.nsim,
@@ -292,38 +287,22 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     try:
         return args.func(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except InvalidDataError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID_DATA
-    except (DegenerateDataError, DegenerateNoiseError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    except SigClustError as err:
+        status, message = err.exit_code, str(err)
     except BrokenPipeError:
         # No reader is left to tell; devnull keeps the final flush from raising again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except InvalidConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SigClustError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_OTHER
+        status, message = EXIT_IO, str(err)
     except (np.linalg.LinAlgError, MemoryError) as err:
-        detail = ": ".join(filter(None, (type(err).__name__, str(err))))
-        print(f"error: {detail}", file=sys.stderr)
-        return EXIT_OTHER
+        status, message = EXIT_OTHER, ": ".join(filter(None, (type(err).__name__, str(err))))
     except BrokenProcessPool as err:
-        print(f"error: a worker process died: {err}", file=sys.stderr)
-        return EXIT_OTHER
+        status, message = EXIT_OTHER, f"a worker process died: {err}"
     except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        status, message = EXIT_INTERRUPTED, "interrupted"
+    print(f"error: {message}", file=sys.stderr)
+    return status
 
 
 def main_entry() -> None:  # console-script entry point

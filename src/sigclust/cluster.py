@@ -4,10 +4,9 @@ The cluster index of a binary split is the within-cluster sum of squares
 divided by the total sum of squares about the grand mean; small values
 mean strong clustering. Lloyd-style 2-means with seeded restarts minimizes
 the index approximately, and an exhaustive bipartition search provides the
-exact optimum for small n. Two closed-form diagnostics relate the index to
-a covariance eigenvalue spectrum: the population value of the optimal
-split of a centered Gaussian, and the signed bias that a distorted
-spectrum induces in that value.
+exact optimum for small n. One closed form relates the index to a
+covariance eigenvalue spectrum: :func:`theoretical_ci`, the population
+value of the optimal split of a centered Gaussian.
 
 The index is invariant to location and rotation, so it depends on the data
 only through the n-by-n Gram matrix ``G = XcᵀXc`` of the centered columns.

@@ -65,11 +65,16 @@ def restart_results(values, restarts, rng):
     """(labels, wss) of each seeded restart, in restart order."""
     n = values.shape[1]
     row_total = values.sum(axis=1)
-    total_sq = float((values * values).sum())
+    # The centroid identity is translation-invariant, but on raw values it
+    # loses about (|mean| / spread)^2 * eps to cancellation; it is scored on
+    # the values centred about the grand mean.
+    centred = values - row_total[:, None] / n
+    centred_total = centred.sum(axis=1)
+    total_sq = float((centred * centred).sum())
     out = []
     for _ in range(restarts):
         labels = lloyd(values, rng, row_total)
-        c1, c2, n2 = _centroids(values, labels, row_total)
+        c1, c2, n2 = _centroids(centred, labels, centred_total)
         # wss via the centroid identity; clamp round-off below zero
         wss = max(total_sq - (n - n2) * float(c1 @ c1) - n2 * float(c2 @ c2), 0.0)
         out.append((labels, wss))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sigclust
-from sigclust import TooLargeError
+from sigclust import TooLargeError, errors
 from sigclust.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_CONFIG,
@@ -116,6 +116,42 @@ def test_other_library_error_is_exit_7(matrix_file, capsys, monkeypatch):
     assert captured.out == ""
 
 
+# The exit status of every library error type, written out: a new type in
+# sigclust.errors fails the test below until it is given a row here.
+_EXIT_STATUS = {
+    "SigClustError": 7,
+    "ParseError": 2,
+    "InvalidDataError": 3,
+    "InvalidLabelsError": 3,
+    "InvalidSpectraError": 3,
+    "DegenerateDataError": 4,
+    "DegenerateNoiseError": 4,
+    "InvalidConfigError": 6,
+    "NoTraceSolutionError": 7,
+    "SpikeBelowBulkError": 7,
+    "TooLargeError": 7,
+}
+_ERROR_TYPES = [
+    t for t in vars(errors).values() if isinstance(t, type) and issubclass(t, errors.SigClustError)
+]
+
+
+@pytest.mark.parametrize("error_type", _ERROR_TYPES, ids=lambda t: t.__name__)
+def test_each_error_type_exits_with_its_status(matrix_file, capsys, monkeypatch, error_type):
+    assert error_type.__name__ in _EXIT_STATUS, f"no exit status listed for {error_type.__name__}"
+    status = _EXIT_STATUS[error_type.__name__]
+    assert error_type.exit_code == status
+
+    def fail(x, config):
+        raise error_type("synthetic failure")
+
+    monkeypatch.setattr("sigclust.cli.run_test", fail)
+    assert main(["test", str(matrix_file), "--nsim", "100", "--seed", "1"]) == status
+    captured = capsys.readouterr()
+    assert captured.err == "error: synthetic failure\n"
+    assert captured.out == ""
+
+
 def test_exit_code_bad_config(matrix_file, capsys):
     assert main(["test", str(matrix_file), "--nsim", "50"]) == EXIT_CONFIG
     assert main(["test", str(matrix_file), "--method", "true", "--nsim", "100"]) == EXIT_CONFIG
@@ -124,8 +160,13 @@ def test_exit_code_bad_config(matrix_file, capsys):
 @pytest.mark.parametrize("flags", [
     ["--nsim", "5"], ["--workers", "0"], ["--restarts-null", "0"], ["--restarts-observed", "0"],
     ["--seed", "-1"], ["--method", "true"],
-], ids=["nsim", "workers", "restarts-null", "restarts-observed", "seed", "true-without-file"])
+    ["--method", "hard", "--true-eigenvalues", "spec.txt"],
+    ["--method", "hard", "--true-eigenvalues", "missing.txt"],
+], ids=["nsim", "workers", "restarts-null", "restarts-observed", "seed", "true-without-file",
+        "hard-with-file", "hard-with-missing-file"])
 def test_test_flags_are_checked_before_the_matrix_is_read(matrix_file, capsys, monkeypatch, flags):
+    monkeypatch.chdir(matrix_file.parent)
+    Path("spec.txt").write_text("1.0\n" * 30)  # fits the matrix's d
     monkeypatch.setattr("sigclust.cli.load_matrix", lambda *a, **k: pytest.fail("matrix read"))
     assert main(["test", str(matrix_file)] + flags) == EXIT_CONFIG
     captured = capsys.readouterr()

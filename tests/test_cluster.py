@@ -7,6 +7,7 @@ import lloyd_reference as reference
 from sigclust import (
     DataMatrix,
     DegenerateDataError,
+    InvalidConfigError,
     InvalidDataError,
     InvalidLabelsError,
     TooLargeError,
@@ -110,6 +111,10 @@ class TestTwoMeans:
         with pytest.raises(DegenerateDataError):
             two_means_ci(DataMatrix(np.ones((2, 5))), restarts=2, seed=0)
 
+    def test_needs_a_restart(self):
+        with pytest.raises(InvalidConfigError, match="restarts must be >= 1"):
+            two_means_ci(one_d([0.0, 1.0, 5.0]), restarts=0, seed=0)
+
     def test_both_clusters_nonempty(self):
         # Duplicated columns make ties common; the split must stay binary.
         x = DataMatrix(np.array([[1.0, 1.0, 1.0, 5.0]]))
@@ -156,6 +161,7 @@ class TestBatchedKernelAgainstReference:
     @example(n=4, d=5, restarts=25, distinct=2, seed=1, cap=None)  # two columns, twice each
     @example(n=40, d=300, restarts=25, distinct=40, seed=2, cap=1)
     @example(n=40, d=300, restarts=25, distinct=40, seed=3, cap=2)
+    @example(n=2, d=1, restarts=1, distinct=2, seed=730379, cap=None)  # mean far from spread
     def test_matches_d_space_lloyd(self, n, d, restarts, distinct, seed, cap):
         values = _columns(d, n, distinct, seed)
         mirror_ok = _mirror_tie(values)

@@ -360,6 +360,11 @@ class TestLabelsAndSpectrumFiles:
         path.write_text("1\n2\n2\n1\n")
         np.testing.assert_array_equal(load_labels(path, 4), [1, 2, 2, 1])
 
+    def test_labels_skip_blank_lines(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("\n1\n  \n2\n\n2\n")
+        np.testing.assert_array_equal(load_labels(path, 3), [1, 2, 2])
+
     def test_labels_bad_value(self, tmp_path):
         path = tmp_path / "labels.txt"
         path.write_text("1\n3\n")

@@ -27,6 +27,8 @@ def test_datamatrix_rejects_bad_input():
         DataMatrix([[1.0], [2.0]])  # single observation
     with pytest.raises(InvalidDataError):
         DataMatrix(np.ones(3))  # not 2-d
+    with pytest.raises(InvalidDataError, match="at least one variable"):
+        DataMatrix(np.empty((0, 3)))  # no variables
 
 
 def test_sample_spectrum_hand_case():
