@@ -6,16 +6,17 @@ least stripping that leaves a numeric grid, or pinned explicitly. A plain
 file (ASCII, no quotes, no blank line inside, every row as wide as the
 first) is read by numpy's C reader; every other file, and any plain file
 that reader rejects, goes through the csv module, which defines the cell
-syntax, the warnings and the errors for both. Reports are
-written as JSON with a fixed key order so that two runs with the same seed
-produce byte-identical files apart from the timing field, plus CSV twins
-of the null indices for spreadsheet use.
+syntax, the warnings and the errors for both. Both paths read the file
+from an open handle, the plain check in binary chunks, so the file is
+never held in memory whole. Reports are written as JSON with a fixed key
+order so that two runs with the same seed produce byte-identical files
+apart from the timing field, plus CSV twins of the null indices for
+spreadsheet use.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
 import warnings as _pywarnings
@@ -36,6 +37,10 @@ _STRIPS = {"auto": (0, 1), "yes": (1,), "no": (0,)}
 # Bytes that keep a file off the C reader: the quote, and the separators
 # U+001C-U+001F, which the C reader strips from a cell and float() does not.
 _NOT_PLAIN = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# The white-space bytes a blank line may hold, and the size of the binary
+# chunks in which a matrix file is scanned.
+_BLANK = b" \t\n\r\x0b\x0c"
+_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -66,51 +71,88 @@ def _floats(cells) -> bool:
     return True
 
 
-def _parse_plain(data: bytes, choices):
+def _plain_counts(path):
+    """(lines, commas) of a file fit for numpy's C reader, or None.
+
+    One pass in ``_CHUNK``-byte binary chunks, so the file is never held
+    whole. A file is fit when it is ASCII, holds no byte of ``_NOT_PLAIN``
+    and has data and no blank first line. ``lines`` counts the lines up to
+    the last byte that is not white space, so trailing blank lines, which
+    the csv path drops, are left out; any of ``\n``, ``\r`` and ``\r\n``
+    ends a line, also when a ``\r\n`` is split across two chunks.
+    """
+    breaks = commas = tail = 0  # tail: line breaks after the last non-blank byte
+    data = cr = False  # a non-blank byte seen; the last chunk ended in \r
+    with open(path, "rb") as fh:
+        if fh.read(1) in (b"\r", b"\n"):
+            return None  # a blank first line
+        fh.seek(0)
+        while chunk := fh.read(_CHUNK):
+            if not chunk.isascii() or any(c in chunk for c in _NOT_PLAIN):
+                return None
+            has_cr = b"\r" in chunk
+            n = chunk.count(b"\n")
+            if has_cr:
+                n += chunk.count(b"\r") - chunk.count(b"\r\n")
+            if cr and chunk.startswith(b"\n"):
+                n -= 1  # the second half of a \r\n split across two chunks
+            end = len(chunk)
+            while end and chunk[end - 1] in _BLANK:
+                end -= 1
+            if end:
+                data = True
+                tail = chunk.count(b"\n", end)
+                if has_cr:
+                    tail += chunk.count(b"\r", end) - chunk.count(b"\r\n", end)
+            else:
+                tail += n
+            breaks += n
+            commas += chunk.count(b",")
+            cr = chunk.endswith(b"\r")
+    return (breaks - tail + 1, commas) if data else None
+
+
+def _parse_plain(path, choices):
     """(values, h, r) read by numpy's C reader, or None to use the csv path.
 
     The header / row-names choice is the first whose first grid row
     ``float`` accepts; an earlier choice fails on that row in the csv path
     too. The reader then runs only on files where it agrees with the csv
-    path: ASCII, no byte of ``_NOT_PLAIN``, no blank first line, and as
-    many commas as lines x (width - 1). A blank line inside the data, which
-    the reader skips and the csv path reports, shows as a short row count.
+    path: those ``_plain_counts`` finds fit, with as many commas as lines x
+    (width - 1). A blank line inside the data, which the reader skips and
+    the csv path reports, shows as a short row count.
     """
-    if not data.isascii() or any(c in data for c in _NOT_PLAIN):
+    counts = _plain_counts(path)
+    if counts is None:
         return None
-    end = len(data)
-    while end and data[end - 1] in b" \t\n\r\x0b\x0c":
-        end -= 1  # trailing blank lines, which the csv path drops
-    if not end or data[0] in b"\r\n":
-        return None  # no data, or a blank first line
-    lines = data.count(b"\n", 0, end) + 1
-    if b"\r" in data:
-        lines += data.count(b"\r", 0, end) - data.count(b"\r\n", 0, end)
-    stream = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline="")
-    first_rows = [stream.readline().rstrip("\r\n").split(",") for _ in range(2)]
-    width = len(first_rows[0])
-    for h, r in choices:
-        if h < lines and r < width and _floats(first_rows[h][r:]):
-            break
-    else:
-        return None
-    if data.count(b",", 0, end) != lines * (width - 1):
-        return None  # a ragged row, which usecols alone would not catch
-    stream.seek(0)
-    try:
-        values = np.loadtxt(
-            itertools.islice(stream, lines), dtype=np.float64, delimiter=",",
-            comments=None, ndmin=2, skiprows=h, usecols=range(r, width) if r else None,
-        )
-    except ValueError:
-        return None
+    lines, commas = counts
+    with open(path, encoding="ascii", newline="") as stream:
+        first_rows = [stream.readline().rstrip("\r\n").split(",") for _ in range(2)]
+        width = len(first_rows[0])
+        for h, r in choices:
+            if h < lines and r < width and _floats(first_rows[h][r:]):
+                break
+        else:
+            return None
+        if commas != lines * (width - 1):
+            return None  # a ragged row, which usecols alone would not catch
+        stream.seek(0)
+        try:
+            values = np.loadtxt(
+                itertools.islice(stream, lines), dtype=np.float64, delimiter=",",
+                comments=None, ndmin=2, skiprows=h,
+                usecols=range(r, width) if r else None,
+            )
+        except ValueError:
+            return None
     if values.shape != (lines - h, width - r):
         return None  # the C reader skipped a blank line
     return values, h, r
 
 
-def _read_rows(path, data: bytes) -> list[list[str]]:
-    rows = list(csv.reader(io.TextIOWrapper(io.BytesIO(data), newline="")))
+def _read_rows(path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
     while rows and len(rows[-1]) <= 1 and not "".join(rows[-1]).strip():
         rows.pop()  # tolerate trailing blank lines
     if not rows:
@@ -137,7 +179,7 @@ def _first_bad_cell(rows, r0, c0):
     return r0, c0  # the grid is empty
 
 
-def _parse_csv(path, data: bytes, choices):
+def _parse_csv(path, choices):
     """(values, h, r) read with the csv module, or the ParseError a file gets.
 
     A choice whose first grid row fails, or whose grid holds a known bad
@@ -146,7 +188,7 @@ def _parse_csv(path, data: bytes, choices):
     first bad cell of the first grid that failed, that is its own first bad
     cell, and no second walk is needed.
     """
-    rows = _read_rows(path, data)
+    rows = _read_rows(path)
     bad = None  # first bad cell of the first grid that failed
     for h, r in choices:
         if len(rows) <= h or len(rows[0]) <= r or not _floats(rows[h][r:]):
@@ -189,14 +231,14 @@ def load_matrix(
     A plain file (ASCII, unquoted, no blank line inside, every row as wide
     as the first) is read by numpy's C reader, the faster path; any other
     file, or one that reader rejects, is read by the csv module. Both give
-    the same values, warnings and errors.
+    the same values, warnings and errors. The file is read in chunks and
+    never held whole, so a plain file's load needs memory for the matrix,
+    not for the file's text.
     """
     if header not in _STRIPS or row_names not in _STRIPS:
         raise InvalidConfigError('header and row_names must be "auto", "yes", or "no"')
-    with open(path, "rb") as fh:
-        data = fh.read()
     choices = [(h, r) for h in _STRIPS[header] for r in _STRIPS[row_names]]
-    values, h, r = _parse_plain(data, choices) or _parse_csv(path, data, choices)
+    values, h, r = _parse_plain(path, choices) or _parse_csv(path, choices)
     if header == "auto" and h:
         _pywarnings.warn(f"{path}: treating the first row as a header")
     if row_names == "auto" and r:

@@ -87,9 +87,13 @@ def estimate_noise(x: DataMatrix) -> NoiseEstimate:
     ``sigma_n_sq`` is consistent for Gaussian noise. A zero MAD means a
     mostly constant matrix with no meaningful null and raises
     :class:`DegenerateNoiseError`.
+
+    The deviations live in one d*n temporary, made absolute and then
+    partitioned in place.
     """
-    entries = x.values.ravel()
-    mad_raw = float(np.median(np.abs(entries - np.median(entries))))
+    dev = x.values.ravel() - np.median(x.values)
+    np.abs(dev, out=dev)
+    mad_raw = float(np.median(dev, overwrite_input=True))
     if mad_raw == 0.0:
         raise DegenerateNoiseError(
             "MAD of the data is zero; background noise level undefined"

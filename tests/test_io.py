@@ -1,6 +1,7 @@
 import json
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -230,22 +231,27 @@ _BLANK = st.sampled_from(["", " ", "\t", "\x0b"])
 def _csv_only(path, **kwargs):
     """load_matrix with the C reader switched off: the csv path alone."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sigclust_io, "_parse_plain", lambda data, choices: None)
+        mp.setattr(sigclust_io, "_parse_plain", lambda path, choices: None)
         return load_matrix(path, **kwargs)
+
+
+# The arguments of TestPlainReaderAgainstCsvPath.test_matches_csv_path, which
+# TestChunkBoundaries draws too.
+_FILE_ARGS = dict(
+    data=st.data(),
+    n_rows=st.integers(1, 4),
+    n_cols=st.integers(1, 4),
+    plain=st.booleans(),
+    labels=st.sampled_from(["none", "header", "names", "both", "corner"]),
+    header=st.sampled_from(["auto", "yes", "no"]),
+    row_names=st.sampled_from(["auto", "yes", "no"]),
+    observations_in_rows=st.booleans(),
+)
 
 
 class TestPlainReaderAgainstCsvPath:
     @settings(max_examples=500, deadline=None)
-    @given(
-        data=st.data(),
-        n_rows=st.integers(1, 4),
-        n_cols=st.integers(1, 4),
-        plain=st.booleans(),
-        labels=st.sampled_from(["none", "header", "names", "both", "corner"]),
-        header=st.sampled_from(["auto", "yes", "no"]),
-        row_names=st.sampled_from(["auto", "yes", "no"]),
-        observations_in_rows=st.booleans(),
-    )
+    @given(**_FILE_ARGS)
     def test_matches_csv_path(
         self, data, n_rows, n_cols, plain, labels, header, row_names,
         observations_in_rows,
@@ -318,6 +324,87 @@ class TestPlainReaderAgainstCsvPath:
             x = load_matrix(path)
         np.testing.assert_array_equal(x.values, want)
         assert len(caught) == strips
+
+
+def _whole_file_counts(data: bytes):
+    """What ``_plain_counts`` finds, worked out on the file's bytes at once."""
+    if not data.isascii() or any(c in data for c in b'"\x1c\x1d\x1e\x1f'):
+        return None
+    head = data.rstrip(b" \t\n\r\x0b\x0c")
+    if not head or data[:1] in (b"\r", b"\n"):
+        return None
+    lines = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+    return lines, data.count(b",")
+
+
+class TestChunkBoundaries:
+    """The scan for the C reader gives the same answer at any chunk size."""
+
+    @staticmethod
+    def _checked_counts(mp):
+        real = sigclust_io._plain_counts
+
+        def counts(path):
+            got = real(path)
+            assert got == _whole_file_counts(Path(path).read_bytes())
+            return got
+
+        mp.setattr(sigclust_io, "_plain_counts", counts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(chunk=st.integers(1, 7), **_FILE_ARGS)
+    def test_small_chunks_match_csv_path(self, chunk, **args):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sigclust_io, "_CHUNK", chunk)
+            self._checked_counts(mp)
+            TestPlainReaderAgainstCsvPath.test_matches_csv_path.hypothesis.inner_test(
+                TestPlainReaderAgainstCsvPath(), **args)
+
+    @pytest.mark.parametrize("text, plain", [
+        ("1,2\r\n3,4\r\n", True),
+        ("1,2\r3,4\r", True),
+        ("1,2\r\n3,4\n5,6\r7,8\r\n", True),
+        ("1,2\n3,4\n \n\t\r\n\n\x0b\x0c\r\n\r\n  \n", True),
+        ("1,2\r\n3,4\r\r\n\r\n", True),
+        ("\r\n1,2\r\n3,4\r\n", False),
+        ("\n1,2\n3,4\n", False),
+        ("1,2\r\n\r\n3,4\r\n", False),
+    ])
+    def test_line_endings_across_chunks(self, tmp_path, monkeypatch, text, plain):
+        # At chunk sizes 1-7 every \r\n pair here is split across two
+        # chunks at least once, and the trailing blank lines span several.
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        want = _outcome(_csv_only, path)
+        self._checked_counts(monkeypatch)
+        for chunk in range(1, 8):
+            monkeypatch.setattr(sigclust_io, "_CHUNK", chunk)
+            assert _outcome(load_matrix, path) == want
+            assert (sigclust_io._parse_plain(path, [(0, 0)]) is not None) == plain
+
+
+class TestStreamedFile:
+    def test_load_holds_less_than_the_file(self, tmp_path):
+        values = np.random.default_rng(6).standard_normal((5000, 40))
+        path = tmp_path / "m.csv"
+        np.savetxt(path, values, fmt="%.18e", delimiter=",")
+        assert path.stat().st_size > 3 * values.nbytes
+        tracemalloc.start()
+        try:
+            x = load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(x.values, values)
+        assert peak < 3 * values.nbytes
+
+    def test_gz_name_is_read_as_text(self, tmp_path):
+        # A path string would let numpy pick a decompressor by extension.
+        text = "1,2,3\n4,5,6\n"
+        (tmp_path / "m.csv").write_text(text)
+        (tmp_path / "m.csv.gz").write_text(text)
+        assert _outcome(load_matrix, tmp_path / "m.csv.gz") == \
+            _outcome(load_matrix, tmp_path / "m.csv")
 
 
 class TestFailFast:

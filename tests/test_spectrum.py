@@ -72,6 +72,33 @@ class TestEstimateNoise:
         shifted = estimate_noise(DataMatrix(base + 3.0))
         assert shifted == estimate_noise(DataMatrix(base))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(1, 7),
+        n=st.integers(2, 6),
+        ties=st.booleans(),
+        transposed=st.booleans(),
+    )
+    def test_matches_the_one_line_mad(self, data, d, n, ties, transposed):
+        # d * n runs over odd and even entry counts; small integers give ties.
+        cell = (st.integers(-3, 3).map(float) if ties else
+                st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+        cells = data.draw(st.lists(cell, min_size=d * n, max_size=d * n))
+        values = np.array(cells).reshape((n, d) if transposed else (d, n))
+        x = DataMatrix(values.T if transposed else values)
+        before = x.values.copy()
+        entries = x.values.ravel()
+        want = float(np.median(np.abs(entries - np.median(entries))))
+        if want == 0.0:
+            with pytest.raises(DegenerateNoiseError):
+                estimate_noise(x)
+        else:
+            noise = estimate_noise(x)
+            assert noise.mad_raw == want
+            assert noise.sigma_n_sq == (want / MAD_STD_NORMAL) ** 2
+        np.testing.assert_array_equal(x.values, before)
+
 
 class TestHardThreshold:
     NOISE = NoiseEstimate(sigma_n_sq=1.0, mad_raw=MAD_STD_NORMAL)
