@@ -176,11 +176,10 @@ def _lloyd(grams: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarr
     m, r = first.shape
     diag = np.diagonal(grams, axis1=1, axis2=2)
     far = np.argmax(diag, axis=1)
-    d1 = np.take_along_axis(diag, first, axis=1)[:, :, None]
-    d2 = np.take_along_axis(diag, second, axis=1)[:, :, None]
+    elem = np.arange(m)[:, None]
     # margin g > 0 means closer to centroid 1; initial ties go to cluster 1
-    g = (np.take_along_axis(grams, first[:, :, None], axis=1)
-         - np.take_along_axis(grams, second[:, :, None], axis=1) - 0.5 * (d1 - d2))
+    g = (grams[elem, first] - grams[elem, second]
+         - 0.5 * (diag[elem, first] - diag[elem, second])[:, :, None])
     in2 = g < 0.0
     moving = np.ones((m, r), dtype=bool)
     elems, stack, rowsums = np.arange(m), grams, grams.sum(axis=2)[:, None, :]

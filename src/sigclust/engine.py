@@ -4,17 +4,20 @@ A run estimates a Gaussian null spectrum from the data (or takes it as
 given), simulates ``n_sim`` null data sets of the same shape, computes the
 2-means cluster index on each, and converts the observed index into an
 empirical and a Gaussian p-value. The index depends on a null data set
-only through its centred n-by-n Gram matrix, so a replication draws a
-factor F whose Gram matrix FᵀF has the law of ZᵀΛZ: Gaussian rows for
-the min(d, n) leading eigenvalues over a Bartlett triangle for the flat
-bulk, at most 2n rows whatever d is (a spectrum with more than n
-eigenvalues above its floor keeps them all as rows). Every replication
-draws from a stream derived deterministically from (master_seed,
-replication index), so an arm's results are bit-identical for any worker
-count and whichever other arms are simulated alongside, and all arms
-simulated in one run (the combined method's hard and soft arms among
-them) share both the Gaussian draw and the k-means seeding within each
-replication.
+only through its centred n-by-n Gram matrix, so a replication draws
+Gaussian rows Z for the K = min(d, n) leading eigenvalues and a bulk
+factor B whose Gram matrix has the law of the flat rows' (a Bartlett
+triangle when d - K > n), at most 2n rows whatever d is. Row centring is
+linear, so Z and B are centred once per replication and BcᵀBc is formed
+once; each arm's centred Gram matrix is then (h∘Zc)ᵀ(h∘Zc) + floor·BcᵀBc,
+with h the square roots of its leading eigenvalues and floor its flat
+eigenvalue (a spectrum with more than n eigenvalues above its floor
+draws its own rows past K and its own bulk). Every replication draws
+from a stream derived deterministically from (master_seed, replication
+index), so an arm's results are bit-identical for any worker count and
+whichever other arms are simulated alongside, and all arms simulated in
+one run (the combined method's hard and soft arms among them) share both
+the Gaussian draw and the k-means seeding within each replication.
 
 Replications run in blocks, mapped on a worker pool when one is open. A
 block stacks the Gram matrices of all its (replication, arm) elements
@@ -36,7 +39,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from ._streams import NULL_REP, OBSERVED, as_generator, seed_int, stream
-from .cluster import _best_splits, _gram, _start_pairs, cluster_index_for_labels, two_means_ci
+from .cluster import _best_splits, _start_pairs, cluster_index_for_labels, two_means_ci
 from .errors import (
     DegenerateDataError,
     InvalidConfigError,
@@ -182,7 +185,7 @@ def gaussian_p(ci_observed: float, null_mean: float, null_sd: float) -> float:
 
 
 def _compact_plan(spectra, n):
-    """(d, K, per-arm sqrt of the leading eigenvalues, per-arm sqrt floor).
+    """(d, K, per-arm sqrt of the leading eigenvalues, per-arm floor).
 
     K = min(d, n) whatever the arms are, so an arm's draws never depend on
     the other arms of the run. An arm whose spectrum is flat at its own
@@ -193,7 +196,7 @@ def _compact_plan(spectra, n):
     k = min(d, n)
     lams = [s.eigenvalues for s in spectra]
     heads = tuple(np.sqrt(lam[: max(k, np.count_nonzero(lam > lam[-1]))]) for lam in lams)
-    floors = tuple(float(np.sqrt(lam[-1])) for lam in lams)
+    floors = tuple(float(lam[-1]) for lam in lams)
     return d, k, heads, floors
 
 
@@ -214,45 +217,53 @@ def _bulk_factor(rng, m, n):
     return b
 
 
-def _factors(plan, n, rng):
-    """One factor per arm whose Gram matrix has the law of ZᵀΛZ.
+def _centred(rows):
+    return rows - rows.mean(axis=1, keepdims=True)
 
-    All arms share the K leading Gaussian rows and the bulk factor; an arm
-    with a zero floor (the sample spectrum) keeps only its leading rows. A
-    wide arm draws its rows past K and its own bulk from the stream as it
-    stands after the shared draws, the same point for every wide arm.
+
+def _null_grams(plan, n, rng, out):
+    """Write one centred Gram matrix per arm, with the law of C ZᵀΛZ C
+    (C = I - 11ᵀ/n), into ``out`` (arms, n, n).
+
+    All arms share the K leading Gaussian rows Z and the bulk factor B,
+    centred once, and BcᵀBc: an arm's Gram is (h∘Zc)ᵀ(h∘Zc) + floor·BcᵀBc,
+    so one with a zero floor (the sample spectrum) keeps only its leading
+    rows. A wide arm draws its rows past K and its own bulk from the stream
+    as it stands after the shared draws, the same point for every wide arm.
+    Continuous draws have no exact duplicate columns, so, unlike the
+    observed statistic's ``_gram``, no duplicate guard runs.
     """
     d, k, heads, floors = plan
-    z = rng.standard_normal((k, n))
-    bulk = _bulk_factor(rng, d - k, n)
+    zc = _centred(rng.standard_normal((k, n)))
+    bulk = _centred(_bulk_factor(rng, d - k, n))
     shared_end = rng.bit_generator.state
-    factors = []
-    for head, floor in zip(heads, floors):
-        rows, own_bulk = head[:k, None] * z, bulk
+    bulk_gram = bulk.T @ bulk
+    for e, (head, floor) in enumerate(zip(heads, floors)):
+        rows, own_gram = head[:k, None] * zc, bulk_gram
         if head.size > k:
             rng.bit_generator.state = shared_end
-            rows = np.vstack([rows, head[k:, None] * rng.standard_normal((head.size - k, n))])
-            own_bulk = _bulk_factor(rng, d - head.size, n)
-        factors.append(np.vstack([rows, floor * own_bulk]) if floor > 0.0 else rows)
-    return factors
+            extra = _centred(rng.standard_normal((head.size - k, n)))
+            rows = np.vstack([rows, head[k:, None] * extra])
+            own = _centred(_bulk_factor(rng, d - head.size, n))
+            own_gram = own.T @ own
+        out[e] = rows.T @ rows + floor * own_gram
 
 
 def _block_cis(plan, n, master_seed, restarts, reps):
     """Null indices (len(reps), arms) of the replications ``reps``.
 
-    Each replication draws its factors and one set of start pairs from its
-    own streams; every arm reuses the start pairs, and the 2-means of
-    every (replication, arm) element runs in one stacked kernel.
+    Each replication draws its Gram matrices and one set of start pairs
+    from its own two streams; every arm reuses the start pairs, and the
+    2-means of every (replication, arm) element runs in one stacked kernel.
     """
     arms = len(plan[2])
     grams = np.empty((len(reps) * arms, n, n))
     starts = np.empty((2, len(reps) * arms, restarts), dtype=np.intp)
     for b, rep in enumerate(reps):
-        gauss_seq, km_seq = stream(master_seed, NULL_REP, rep).spawn(2)
+        gauss_seq, km_seq = (stream(master_seed, NULL_REP, rep, k) for k in (0, 1))
         elems = slice(b * arms, (b + 1) * arms)
         starts[:, elems] = np.stack(_start_pairs(n, restarts, as_generator(km_seq)))[:, None]
-        for e, f in enumerate(_factors(plan, n, as_generator(gauss_seq)), b * arms):
-            grams[e] = _gram(f)
+        _null_grams(plan, n, as_generator(gauss_seq), grams[elems])
     tss = np.trace(grams, axis1=1, axis2=2)
     if np.any(tss <= 0.0):
         raise DegenerateDataError("total sum of squares is zero; no cluster structure")
@@ -293,7 +304,7 @@ def simulate_null_cis(spectrum: NullSpectrum, n: int, config: TestConfig) -> np.
     K = min(d, n) leading rows sqrt(lambda_j) * z_j of the null data and a
     factor of the d - K flat rows with the same Gram law (a Bartlett
     triangle when d - K > n), and runs seeded 2-means with
-    ``restarts_null`` restarts on the Gram matrix of the stacked factor.
+    ``restarts_null`` restarts on the centred Gram matrix of the two.
     Replications run in blocks sized from a byte budget of Gram matrices
     that does not depend on the worker count, one batched product per
     Lloyd sweep per block, on a pool of ``config.workers`` processes

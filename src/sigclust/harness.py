@@ -25,6 +25,7 @@ from .engine import (
     METHODS, MIN_N_SIM, TestConfig, _pool, _run_tests, check_methods, check_workers, resolve_seed,
 )
 from .errors import InvalidConfigError, ParseError, SigClustError
+from .io import _open_text
 from .linalg import DataMatrix
 
 MODES = ("none", "first", "all")
@@ -241,7 +242,7 @@ def load_scenario_file(
     """
     master_seed = resolve_seed(master_seed)
     methods, specs = tuple(methods), []
-    with open(path, newline="") as fh:
+    with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [c for c in _COLUMNS if c not in header]

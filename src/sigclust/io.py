@@ -16,11 +16,14 @@ spreadsheet use.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import itertools
 import json
 import warnings as _pywarnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -150,8 +153,45 @@ def _parse_plain(path, choices):
     return values, h, r
 
 
+def _decode_error(path, err: UnicodeDecodeError) -> ParseError:
+    """The ParseError for a text file that ``err.encoding`` cannot decode:
+    the file's bytes are rescanned with that codec, in ``_CHUNK``-byte
+    chunks, for the 0-based offset and the line of the first bad byte."""
+    decoder = codecs.getincrementaldecoder(err.encoding)()
+    offset, line, cr = 0, 1, False  # cr: the last chunk ended in \r
+    with open(path, "rb") as fh:
+        for chunk in itertools.chain(iter(partial(fh.read, _CHUNK), b""), [b""]):
+            held = len(decoder.getstate()[0])  # bytes of a sequence split across chunks
+            try:
+                decoder.decode(chunk, final=not chunk)
+                end = None
+            except UnicodeDecodeError as bad:
+                end = bad.start - held
+                chunk = chunk[:max(end, 0)]
+            line += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            line -= cr and chunk.startswith(b"\n")
+            cr = chunk.endswith(b"\r")
+            if end is not None:
+                offset += end
+                break
+            offset += len(chunk)
+    return ParseError(f"{path}: line {line}: byte {offset} is not valid {err.encoding} text",
+                      line=line)
+
+
+@contextmanager
+def _open_text(path, **kwargs):
+    """``open(path, **kwargs)`` for reading, whose decoding failures raise
+    the file's ParseError."""
+    try:
+        with open(path, **kwargs) as fh:
+            yield fh
+    except UnicodeDecodeError as err:
+        raise _decode_error(path, err) from None
+
+
 def _read_rows(path) -> list[list[str]]:
-    with open(path, newline="") as fh:
+    with _open_text(path, newline="") as fh:
         rows = list(csv.reader(fh))
     while rows and len(rows[-1]) <= 1 and not "".join(rows[-1]).strip():
         rows.pop()  # tolerate trailing blank lines
@@ -251,7 +291,7 @@ def load_matrix(
 def load_labels(path, n: int) -> np.ndarray:
     """Read a cluster-label file: one label (1 or 2) per line, n lines."""
     labels = []
-    with open(path) as fh:
+    with _open_text(path) as fh:
         for i, raw in enumerate(fh, start=1):
             text = raw.strip()
             if not text:
@@ -271,7 +311,7 @@ def load_labels(path, n: int) -> np.ndarray:
 def load_eigenvalue_file(path) -> np.ndarray:
     """Read a spectrum file: one eigenvalue per line, '#' comments allowed."""
     values = []
-    with open(path) as fh:
+    with _open_text(path) as fh:
         for i, raw in enumerate(fh, start=1):
             text = raw.strip()
             if not text or text.startswith("#"):

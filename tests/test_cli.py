@@ -386,6 +386,31 @@ def test_non_comma_matrix_file_is_a_parse_error(tmp_path, capsys, sep):
     ]
 
 
+@pytest.mark.parametrize("name, data, argv, line, offset", [
+    ("latin.csv", b"g\xe8ne,s1\ng1,1\ng2,2\n", ["spectrum"], 1, 1),
+    ("labels.txt", b"1\n2\n\xff\n", ["test", "data.csv", "--labels"], 3, 4),
+    ("spec.txt", b"4\n1\xe8\n", ["tci"], 2, 3),
+    ("scenario.csv", b"v,w,d,n,a,mode,reps,n_sim\n1,0,6,8,0,none,2,10\xe80\n",
+     ["simulate", "--scenario"], 2, 45),
+], ids=["matrix", "labels", "eigenvalues", "scenario"])
+def test_undecodable_file_is_a_parse_error(matrix_file, capsys, monkeypatch,
+                                           name, data, argv, line, offset):
+    monkeypatch.chdir(matrix_file.parent)
+    Path(name).write_bytes(data)
+    with open(name) as fh:
+        encoding = fh.encoding
+    try:
+        data.decode(encoding)
+    except UnicodeDecodeError:
+        pass
+    else:
+        pytest.skip(f"the locale's encoding {encoding} decodes every byte")
+    assert main([*argv, name]) == EXIT_PARSE
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {name}: line {line}: byte {offset} is not valid {encoding} text"
+    ]
+
+
 def test_one_column_file_loads_as_one_variable(tmp_path, capsys):
     path = tmp_path / "col.csv"
     values = np.random.default_rng(10).normal(size=12)

@@ -1,8 +1,9 @@
 import hashlib
 
+import null_reference
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -94,8 +95,10 @@ class TestSimulateNullCis:
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("restarts,digest", [
-        (20, "c943f715a8284129ba437292971444b9552ab12020524628cea8834390a4a4af"),
-        (1, "0392b0f3560c26d2d8e6fbf3846910e6155cc9beff5a27aa62c9f74b52bbb67c"),
+        pytest.param(20, "2c13bb86ceeca30f4b8ba23e2abf82e107bec4cec56abd521654a5757f48f5c7",
+                     id="restarts20"),
+        pytest.param(1, "94cf1d01e844c92c1fb4cb94cf97bffd75f41750de00f17e3ecf8602d726bb6c",
+                     id="restarts1"),
     ])
     def test_null_stream_pin(self, restarts, digest):
         # Pins the null streams and the 2-means kernel bit for bit, as
@@ -170,15 +173,19 @@ def _spiked(d, head):
     return np.r_[head, np.ones(d - len(head))]
 
 
+def _null_grams(spectra, n, rng):
+    """The engine's centred null Gram matrices (arms, n, n), one draw."""
+    plan = engine._compact_plan(spectra, n)
+    out = np.empty((len(spectra), n, n))
+    engine._null_grams(plan, n, rng, out)
+    return out
+
+
 def _factor_grams(lam, n, draws, seed):
-    """Uncentred Gram matrices of ``draws`` compact null factors."""
-    plan = engine._compact_plan((NullSpectrum(method="true", eigenvalues=lam),), n)
+    """Centred null Gram matrices of ``draws`` replications of one arm."""
+    spectra = (NullSpectrum(method="true", eigenvalues=lam),)
     rng = np.random.default_rng(seed)
-    grams = []
-    for _ in range(draws):
-        (f,) = engine._factors(plan, n, rng)
-        grams.append(f.T @ f)
-    return np.array(grams)
+    return np.concatenate([_null_grams(spectra, n, rng) for _ in range(draws)])
 
 
 def _dense_grams(lam, n, draws, seed):
@@ -186,8 +193,26 @@ def _dense_grams(lam, n, draws, seed):
     grams = []
     for _ in range(draws):
         z = np.sqrt(lam)[:, None] * rng.standard_normal((lam.size, n))
-        grams.append(z.T @ z)
+        zc = z - z.mean(axis=1, keepdims=True)
+        grams.append(zc.T @ zc)
     return np.array(grams)
+
+
+def _reference_spectrum(kind, d, n, rng):
+    """A spectrum of length d: up to three spikes over a unit floor
+    ("spiked"), the sample shape with exact zeros past n - 1 ("sample"),
+    or up to d distinct values over a unit floor, which is wide when more
+    than n of them lie above it ("wide")."""
+    if kind == "spiked":
+        head = np.sort(rng.uniform(1.5, 30.0, rng.integers(0, min(d, 4))))[::-1]
+        return NullSpectrum(method="hard", eigenvalues=_spiked(d, head), sigma_n_sq=1.0)
+    if kind == "sample":
+        lam = np.zeros(d)
+        lam[: min(d, n - 1)] = np.sort(rng.uniform(0.1, 20.0, min(d, n - 1)))[::-1]
+        lam[0] += 1.0  # a positive sum when n = 1 leaves no room
+        return NullSpectrum(method="sample", eigenvalues=lam)
+    head = np.linspace(25.0, 1.5, rng.integers(1, d + 1))
+    return NullSpectrum(method="true", eigenvalues=_spiked(d, head))
 
 
 class TestCompactNullFactor:
@@ -201,21 +226,22 @@ class TestCompactNullFactor:
 
     @pytest.mark.parametrize("d,head", CASES)
     def test_gram_moments_match_exact_values(self, d, head):
+        # Gc = C ZᵀΛZ C = Σ_l λ_l y_l y_lᵀ with independent y_l ~ N(0, C),
+        # C = I - 11ᵀ/n. So E[Gc] = tr(Λ)·C, and entry (i, j) sums the
+        # products λ_l y_li y_lj, whose cumulants, with a = C_ii, b = C_jj
+        # and c = C_ij, are κ2 = (ab + c²)·λ_l² and
+        # κ4 = (6(ab - c²)² + 48abc²)·λ_l⁴. Every entry's sample mean and
+        # variance must lie within 5 Monte Carlo standard errors.
+        n, draws = 6, 20000
         lam = _spiked(d, head)
-        grams = _factor_grams(lam, n=6, draws=20000, seed=d + len(head))
-        diag = grams[:, np.arange(6), np.arange(6)].ravel()
-        off = grams[:, 0, 1:].ravel()
-        s1, s2 = lam.sum(), (lam**2).sum()
-        # Sample moments within 5 Monte Carlo standard errors; the errors
-        # use the Gaussian fourth moments of the Gram entries.
-        assert abs(diag.mean() - s1) < 5 * np.sqrt(2 * s2 / diag.size)
-        assert abs(diag.var() / (2 * s2) - 1) < 5 * np.sqrt(
-            (48 * (lam**4).sum() + 8 * s2**2) / (4 * s2**2 * 20000)
-        )
-        assert abs(off.mean()) < 5 * np.sqrt(s2 / off.size)
-        assert abs(off.var() / s2 - 1) < 5 * np.sqrt(
-            (6 * (lam**4).sum() + 3 * s2**2) / (s2**2 * 20000) - 1 / 20000
-        )
+        grams = _factor_grams(lam, n, draws, seed=d + len(head))
+        c = np.eye(n) - 1.0 / n
+        ab = np.outer(np.diag(c), np.diag(c))
+        var = (ab + c**2) * (lam**2).sum()
+        k4 = (6 * (ab - c**2) ** 2 + 48 * ab * c**2) * (lam**4).sum()
+        assert np.all(np.abs(grams.mean(axis=0) - lam.sum() * c) < 5 * np.sqrt(var / draws))
+        assert np.all(np.abs(grams.var(axis=0) / var - 1)
+                      < 5 * np.sqrt((k4 + 2 * var**2) / (var**2 * draws)))
 
     @pytest.mark.parametrize("d,head", CASES)
     def test_ks_against_dense_draw(self, d, head):
@@ -230,6 +256,32 @@ class TestCompactNullFactor:
             lambda g: np.linalg.eigvalsh(g)[:, -1],
         ):
             assert ks_2samp(stat(compact), stat(dense)).pvalue > 1e-3
+
+    @seed(20261019)
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(1, 40),
+        n=st.integers(2, 12),
+        kinds=st.lists(st.sampled_from(["spiked", "sample", "wide"]), min_size=1, max_size=4),
+        draw_seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=5, n=8, kinds=["spiked", "sample"], draw_seed=1)  # d <= n: no bulk
+    @example(d=14, n=8, kinds=["spiked", "sample", "wide"], draw_seed=2)  # dense bulk
+    @example(d=40, n=8, kinds=["wide", "spiked", "sample", "wide"], draw_seed=3)  # Bartlett
+    @example(d=40, n=4, kinds=["wide", "wide"], draw_seed=4)  # wide arms over Bartlett bulks
+    def test_matches_stacked_factor_reference(self, d, n, kinds, draw_seed):
+        # From the same generator state, every arm's Gram matrix equals the
+        # stacked-factor reference's to round-off, and both end the stream
+        # at the same point.
+        spectra = tuple(_reference_spectrum(k, d, n, np.random.default_rng([draw_seed, i]))
+                        for i, k in enumerate(kinds))
+        plan = engine._compact_plan(spectra, n)
+        fast_rng, ref_rng = (np.random.default_rng(draw_seed) for _ in range(2))
+        fast = _null_grams(spectra, n, fast_rng)
+        ref = null_reference.null_grams(plan, n, ref_rng)
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+        for f, r in zip(fast, ref):
+            np.testing.assert_allclose(f, r, rtol=0, atol=1e-12 * np.abs(r).max())
 
     def test_arm_nulls_do_not_depend_on_the_other_arms(self):
         # Unequal spike counts, and two spectra with more eigenvalues above
@@ -254,22 +306,37 @@ class TestCompactNullFactor:
         )
 
     def test_factor_rows_do_not_grow_with_d(self, monkeypatch):
-        rows = []
-        original = engine._gram
+        calls, normals = [], []
+        original = engine._null_grams
 
-        def spy(values):
-            rows.append(values.shape[0])
-            return original(values)
+        class Counting:
+            # The replication's generator, counting the normals it draws.
+            def __init__(self, rng):
+                self._rng = rng
 
-        monkeypatch.setattr(engine, "_gram", spy)
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def standard_normal(self, size):
+                normals.append(int(np.prod(size)))
+                return self._rng.standard_normal(size)
+
+        def spy(plan, n, rng, out):
+            calls.append(out.shape)
+            normals.append(0)  # marks the start of a replication
+            return original(plan, n, Counting(rng), out)
+
+        monkeypatch.setattr(engine, "_null_grams", spy)
         d, n = 20000, 30
         hard = NullSpectrum(method="hard", eigenvalues=_spiked(d, [50.0, 20.0, 9.0, 3.0]),
                             sigma_n_sq=1.0)
         soft = NullSpectrum(method="soft", eigenvalues=_spiked(d, [40.0, 10.0]),
                             sigma_n_sq=1.0, tau=9.0)
         combined_null(hard, soft, n, make_config(restarts_null=5))
-        assert len(rows) == 200
-        assert max(rows) <= 2 * n  # K = n leading rows over an n-row Bartlett triangle
+        assert calls == [(2, n, n)] * 100  # one call per replication, both arms
+        per_rep = np.add.reduceat(normals, np.flatnonzero(np.array(normals) == 0))
+        # K = n leading rows over an n-row Bartlett triangle
+        assert per_rep.max() <= n * n + n * (n - 1) // 2
 
     def test_grid_methods_simulate_four_arms_in_one_pass(self, monkeypatch):
         calls = []

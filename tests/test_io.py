@@ -383,6 +383,44 @@ class TestChunkBoundaries:
             assert (sigclust_io._parse_plain(path, [(0, 0)]) is not None) == plain
 
 
+def _first_bad_byte(data: bytes, encoding: str):
+    """(line, offset) of the first byte that ``encoding`` rejects, or None."""
+    try:
+        data.decode(encoding)
+    except UnicodeDecodeError as err:
+        head = data[:err.start]
+        return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1, err.start
+    return None
+
+
+class TestUndecodableFile:
+    @pytest.mark.parametrize("data", [
+        b"g\xe8ne,s1\ng1,1\ng2,2\n",
+        b"a,b\r\n1,2\r\n\xc3\xa9,3\r\n4,\xe8\r\n",
+        b"1,2\r3,4\r5,\xff\r",
+        b"\xc3\xa9\xc3\xa9,1\n2,\xe2\x82\n",
+        b"1,2\n3,\xc3",
+    ], ids=["latin1-header", "crlf-after-multibyte", "cr-lines", "cut-sequence", "cut-at-end"])
+    def test_parse_error_names_line_and_byte(self, tmp_path, monkeypatch, data):
+        # Every chunk size from 1 byte splits each multibyte sequence and
+        # each \r\n somewhere; the offset and line stay those of the file.
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        with open(path) as fh:
+            encoding = fh.encoding
+        want = _first_bad_byte(data, encoding)
+        if want is None:
+            pytest.skip(f"the locale's encoding {encoding} decodes every byte")
+        line, offset = want
+        for chunk in [*range(1, 8), 1 << 20]:
+            monkeypatch.setattr(sigclust_io, "_CHUNK", chunk)
+            with pytest.raises(ParseError) as exc:
+                load_matrix(path)
+            assert exc.value.line == line
+            assert str(exc.value) == (
+                f"{path}: line {line}: byte {offset} is not valid {encoding} text")
+
+
 class TestStreamedFile:
     def test_load_holds_less_than_the_file(self, tmp_path):
         values = np.random.default_rng(6).standard_normal((5000, 40))
