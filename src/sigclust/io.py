@@ -265,8 +265,8 @@ def load_matrix(
     left on "auto", the least stripping that leaves a fully numeric grid
     wins, with a warning for each strip; explicit "yes"/"no" pins the choice.
     Ragged rows and non-numeric cells raise :class:`ParseError` with 1-based
-    file coordinates; NaN or infinite values parse but raise
-    :class:`InvalidDataError`.
+    file coordinates, as does a byte the locale's encoding cannot decode;
+    NaN or infinite values parse but raise :class:`InvalidDataError`.
 
     A plain file (ASCII, unquoted, no blank line inside, every row as wide
     as the first) is read by numpy's C reader, the faster path; any other

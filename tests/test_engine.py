@@ -173,7 +173,7 @@ def _spiked(d, head):
     return np.r_[head, np.ones(d - len(head))]
 
 
-def _null_grams(spectra, n, rng):
+def _engine_grams(spectra, n, rng):
     """The engine's centred null Gram matrices (arms, n, n), one draw."""
     plan = engine._compact_plan(spectra, n)
     out = np.empty((len(spectra), n, n))
@@ -185,7 +185,7 @@ def _factor_grams(lam, n, draws, seed):
     """Centred null Gram matrices of ``draws`` replications of one arm."""
     spectra = (NullSpectrum(method="true", eigenvalues=lam),)
     rng = np.random.default_rng(seed)
-    return np.concatenate([_null_grams(spectra, n, rng) for _ in range(draws)])
+    return np.concatenate([_engine_grams(spectra, n, rng) for _ in range(draws)])
 
 
 def _dense_grams(lam, n, draws, seed):
@@ -209,7 +209,6 @@ def _reference_spectrum(kind, d, n, rng):
     if kind == "sample":
         lam = np.zeros(d)
         lam[: min(d, n - 1)] = np.sort(rng.uniform(0.1, 20.0, min(d, n - 1)))[::-1]
-        lam[0] += 1.0  # a positive sum when n = 1 leaves no room
         return NullSpectrum(method="sample", eigenvalues=lam)
     head = np.linspace(25.0, 1.5, rng.integers(1, d + 1))
     return NullSpectrum(method="true", eigenvalues=_spiked(d, head))
@@ -277,7 +276,7 @@ class TestCompactNullFactor:
                         for i, k in enumerate(kinds))
         plan = engine._compact_plan(spectra, n)
         fast_rng, ref_rng = (np.random.default_rng(draw_seed) for _ in range(2))
-        fast = _null_grams(spectra, n, fast_rng)
+        fast = _engine_grams(spectra, n, fast_rng)
         ref = null_reference.null_grams(plan, n, ref_rng)
         assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
         for f, r in zip(fast, ref):
