@@ -16,7 +16,6 @@ from .cluster import (
     cluster_index_for_labels,
     theoretical_ci,
     two_means_ci,
-    two_means_exhaustive,
 )
 from .engine import (
     TestConfig,
@@ -37,8 +36,6 @@ from .errors import (
     NoTraceSolutionError,
     ParseError,
     SigClustError,
-    SpikeBelowBulkError,
-    TooLargeError,
 )
 from .harness import (
     CellSummary,
@@ -57,7 +54,6 @@ from .spectrum import (
     NullSpectrum,
     estimate_noise,
     hard_threshold,
-    rmt_predicted_spectrum,
     soft_threshold,
 )
 
@@ -67,7 +63,6 @@ __all__ = [
     "cluster_index_for_labels",
     "theoretical_ci",
     "two_means_ci",
-    "two_means_exhaustive",
     "TestConfig",
     "TestReport",
     "empirical_p",
@@ -84,8 +79,6 @@ __all__ = [
     "NoTraceSolutionError",
     "ParseError",
     "SigClustError",
-    "SpikeBelowBulkError",
-    "TooLargeError",
     "CellSummary",
     "GridSummary",
     "ScenarioSpec",
@@ -105,6 +98,5 @@ __all__ = [
     "NullSpectrum",
     "estimate_noise",
     "hard_threshold",
-    "rmt_predicted_spectrum",
     "soft_threshold",
 ]

@@ -34,9 +34,7 @@ from .engine import (
     METHODS, TestConfig, check_methods, check_workers, estimate_null_spectra, resolve_seed,
     run_test,
 )
-from .errors import (
-    DegenerateDataError, InvalidConfigError, InvalidDataError, ParseError, SigClustError,
-)
+from .errors import InvalidConfigError, SigClustError
 from .harness import (
     builtin_calibration_grid_path,
     load_scenario_file,
@@ -55,11 +53,7 @@ from .io import (
 )
 
 EXIT_OK = 0
-EXIT_PARSE = ParseError.exit_code
-EXIT_INVALID_DATA = InvalidDataError.exit_code
-EXIT_DEGENERATE = DegenerateDataError.exit_code
 EXIT_IO = 5
-EXIT_CONFIG = InvalidConfigError.exit_code
 EXIT_OTHER = SigClustError.exit_code
 EXIT_INTERRUPTED = 130
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE

@@ -3,8 +3,7 @@
 The cluster index of a binary split is the within-cluster sum of squares
 divided by the total sum of squares about the grand mean; small values
 mean strong clustering. Lloyd-style 2-means with seeded restarts minimizes
-the index approximately, and an exhaustive bipartition search provides the
-exact optimum for small n. One closed form relates the index to a
+the index approximately. One closed form relates the index to a
 covariance eigenvalue spectrum: :func:`theoretical_ci`, the population
 value of the optimal split of a centered Gaussian.
 
@@ -34,13 +33,10 @@ from .errors import (
     InvalidConfigError,
     InvalidDataError,
     InvalidLabelsError,
-    TooLargeError,
 )
 from .linalg import DataMatrix
 
 MAX_LLOYD_ITER = 300
-EXHAUSTIVE_MAX_N = 20
-_EXHAUSTIVE_CHUNK = 1 << 16
 _DUPLICATE_RTOL = 1e-8  # relative gap below which two columns are compared exactly
 
 
@@ -245,59 +241,19 @@ def two_means_ci(x: DataMatrix, restarts: int = 20, seed=None) -> ClusterSplit:
     return cluster_index_for_labels(x, np.where(in2[0], 2, 1))
 
 
-def two_means_exhaustive(x: DataMatrix) -> ClusterSplit:
-    """Exact minimum-index bipartition by enumerating all 2^(n-1) - 1 splits.
-
-    Observation 0 is pinned to cluster 1, so every nonempty bipartition is
-    visited exactly once. Only feasible for n <= ``EXHAUSTIVE_MAX_N``.
-    """
-    n = x.n
-    if n > EXHAUSTIVE_MAX_N:
-        raise TooLargeError(
-            f"exhaustive search needs n <= {EXHAUSTIVE_MAX_N}, got {n}"
-        )
-    # Work on grand-mean-centered columns; wss is translation invariant and
-    # the sum formula below is better conditioned this way.
-    xc = x.values - x.values.mean(axis=1, keepdims=True)
-    total_sq = float((xc * xc).sum())
-    s_all = xc.sum(axis=1)
-    rest = xc[:, 1:].T  # (n-1, d)
-    m = n - 1
-    count = (1 << m) - 1
-    bit_id = np.arange(m, dtype=np.uint32)
-
-    best_wss = np.inf
-    best_mask = 0
-    for start in range(1, count + 1, _EXHAUSTIVE_CHUNK):
-        masks = np.arange(start, min(start + _EXHAUSTIVE_CHUNK, count + 1), dtype=np.uint32)
-        bits = ((masks[:, None] >> bit_id) & 1).astype(np.float64)  # 1 -> cluster 2
-        n2 = bits.sum(axis=1)
-        n1 = n - n2
-        s2 = bits @ rest
-        s1 = s_all[None, :] - s2
-        wss = total_sq - (s1 * s1).sum(axis=1) / n1 - (s2 * s2).sum(axis=1) / n2
-        k = int(np.argmin(wss))
-        if wss[k] < best_wss:
-            best_wss = float(wss[k])
-            best_mask = int(masks[k])
-
-    labels = np.ones(n, dtype=np.int64)
-    labels[1:][((best_mask >> bit_id) & 1) == 1] = 2
-    return cluster_index_for_labels(x, labels)
-
-
 def theoretical_ci(eigenvalues) -> float:
     """Population cluster index of the optimally split centered Gaussian.
 
-    For a Gaussian with covariance eigenvalues ``lam`` (all positive,
-    descending), the best split is along the top eigendirection and the
-    index equals ``1 - (2/pi) * lam_1 / sum(lam)``. The value depends only
-    on the ratio of the top eigenvalue to the total variation, so it is
-    scale invariant.
+    For a Gaussian with covariance eigenvalues ``lam`` (finite and
+    nonnegative with a positive sum, so zeros are allowed, as in a sample
+    spectrum with d > n), the best split is along the top eigendirection
+    and the index equals ``1 - (2/pi) * lam_1 / sum(lam)``. The value
+    depends only on the ratio of the top eigenvalue to the total
+    variation, so it is scale invariant.
     """
     lam = np.asarray(eigenvalues, dtype=np.float64)
     if lam.ndim != 1 or lam.size == 0:
         raise InvalidDataError("eigenvalues must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(lam)) or np.any(lam <= 0):
-        raise InvalidDataError("eigenvalues must be positive and finite")
+    if not np.all(np.isfinite(lam)) or np.any(lam < 0) or lam.sum() <= 0:
+        raise InvalidDataError("eigenvalues must be finite and nonnegative with positive sum")
     return float(1.0 - (2.0 / np.pi) * (lam.max() / lam.sum()))

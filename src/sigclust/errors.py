@@ -61,23 +61,5 @@ class NoTraceSolutionError(SigClustError):
     (the noise floor alone already exceeds it)."""
 
 
-class SpikeBelowBulkError(SigClustError):
-    """The requested spike height does not separate from the noise bulk, so
-    the limiting top-eigenvalue prediction is undefined.
-
-    The bulk edges are still reported via ``bulk_edge_upper`` and
-    ``bulk_edge_lower``.
-    """
-
-    def __init__(self, message, bulk_edge_upper=None, bulk_edge_lower=None):
-        super().__init__(message)
-        self.bulk_edge_upper = bulk_edge_upper
-        self.bulk_edge_lower = bulk_edge_lower
-
-
-class TooLargeError(SigClustError):
-    """The input is too large for an exhaustive computation."""
-
-
 class InvalidSpectraError(InvalidDataError):
     """Two eigenvalue spectra that must agree in dimension do not."""

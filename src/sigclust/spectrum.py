@@ -6,8 +6,7 @@ background noise variance, leaving large eigenvalues untouched. Soft
 thresholding additionally subtracts a constant offset tau from the
 eigenvalues that stay above the floor, with tau solved exactly so that the
 estimated spectrum keeps the sample trace, which is the unbiased estimate
-of the total variation. A small random-matrix helper predicts where the
-sample eigenvalues of a spiked covariance land in high dimensions.
+of the total variation.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .errors import (
     InvalidConfigError,
     InvalidDataError,
     NoTraceSolutionError,
-    SpikeBelowBulkError,
 )
 from .linalg import DataMatrix, EigenSpectrum
 
@@ -164,35 +162,3 @@ def flat_fallback_spectrum(spec: EigenSpectrum, noise: NoiseEstimate) -> NullSpe
     return NullSpectrum(
         method="soft", eigenvalues=lam, sigma_n_sq=noise.sigma_n_sq, tau=None
     )
-
-
-def rmt_predicted_spectrum(v: float, w: int, n: int, d: int) -> np.ndarray:
-    """Large-dimension limits of sample eigenvalues under a spiked covariance.
-
-    For a population spectrum with w spikes at height v over a unit noise
-    floor and aspect ratio rho = d/n, returns the predicted sample
-    eigenvalues at positions 1..w (the inflated spikes, ``v + rho*v/(v-1)``),
-    w+1 (the upper bulk edge ``(1+sqrt(rho))^2``), and n (the lower bulk edge
-    ``(1-sqrt(rho))^2``), as a length w+2 vector.
-
-    Requires d > n and 1 <= w < n. If v does not exceed ``1 + sqrt(rho)``
-    the spike does not separate from the bulk and
-    :class:`SpikeBelowBulkError` is raised, carrying the bulk edges.
-    """
-    if d <= n:
-        raise InvalidConfigError("prediction requires d > n")
-    if not 1 <= w < n:
-        raise InvalidConfigError("spike count w must satisfy 1 <= w < n")
-    rho = d / n
-    root = np.sqrt(rho)
-    upper = (1.0 + root) ** 2
-    lower = (1.0 - root) ** 2
-    if v <= 1.0 + root:
-        raise SpikeBelowBulkError(
-            f"spike height {v:.6g} does not exceed 1 + sqrt(rho) = {1.0 + root:.6g}; "
-            f"only the bulk edges {upper:.6g} and {lower:.6g} are defined",
-            bulk_edge_upper=upper,
-            bulk_edge_lower=lower,
-        )
-    spike = v + rho * v / (v - 1.0)
-    return np.array([spike] * w + [upper, lower])

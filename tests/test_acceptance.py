@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from exhaustive_reference import two_means_exhaustive
 from sigclust import (
     DataMatrix,
     EigenSpectrum,
@@ -27,7 +28,6 @@ from sigclust import (
     soft_threshold,
     theoretical_ci,
     two_means_ci,
-    two_means_exhaustive,
 )
 from sigclust.cli import main
 

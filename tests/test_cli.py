@@ -10,19 +10,9 @@ import numpy as np
 import pytest
 
 import sigclust
-from sigclust import TooLargeError, errors
-from sigclust.cli import (
-    EXIT_BROKEN_PIPE,
-    EXIT_CONFIG,
-    EXIT_DEGENERATE,
-    EXIT_INTERRUPTED,
-    EXIT_INVALID_DATA,
-    EXIT_IO,
-    EXIT_OK,
-    EXIT_OTHER,
-    EXIT_PARSE,
-    main,
-)
+from sigclust import errors
+from sigclust.cli import EXIT_BROKEN_PIPE, EXIT_INTERRUPTED, EXIT_IO, EXIT_OK, EXIT_OTHER, main
+from sigclust.errors import DegenerateDataError, InvalidConfigError, InvalidDataError, ParseError
 
 
 @pytest.fixture
@@ -72,19 +62,20 @@ def test_pvalues_printed_with_six_significant_digits(tmp_path, capsys):
 def test_exit_code_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\n3,oops\n")
-    assert main(["test", str(bad), "--nsim", "100"]) == EXIT_PARSE
+    assert main(["test", str(bad), "--nsim", "100"]) == ParseError.exit_code
 
 
 def test_exit_code_invalid_data(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\nnan,4\n")
-    assert main(["test", str(bad), "--nsim", "100"]) == EXIT_INVALID_DATA
+    assert main(["test", str(bad), "--nsim", "100"]) == InvalidDataError.exit_code
 
 
 def test_exit_code_degenerate(tmp_path, capsys):
     const = tmp_path / "const.csv"
     const.write_text("1,1,1\n1,1,1\n")
-    assert main(["test", str(const), "--method", "hard", "--nsim", "100"]) == EXIT_DEGENERATE
+    argv = ["test", str(const), "--method", "hard", "--nsim", "100"]
+    assert main(argv) == DegenerateDataError.exit_code
 
 
 def test_exit_code_missing_file(tmp_path, capsys):
@@ -107,12 +98,12 @@ def test_exit_code_linalg_and_memory_failures(matrix_file, capsys, monkeypatch, 
 
 def test_other_library_error_is_exit_7(matrix_file, capsys, monkeypatch):
     def fail(x, config):
-        raise TooLargeError("synthetic: too large")
+        raise errors.NoTraceSolutionError("synthetic: no trace solution")
 
     monkeypatch.setattr("sigclust.cli.run_test", fail)
     assert main(["test", str(matrix_file), "--nsim", "100", "--seed", "1"]) == EXIT_OTHER
     captured = capsys.readouterr()
-    assert captured.err == "error: synthetic: too large\n"
+    assert captured.err == "error: synthetic: no trace solution\n"
     assert captured.out == ""
 
 
@@ -128,8 +119,6 @@ _EXIT_STATUS = {
     "DegenerateNoiseError": 4,
     "InvalidConfigError": 6,
     "NoTraceSolutionError": 7,
-    "SpikeBelowBulkError": 7,
-    "TooLargeError": 7,
 }
 _ERROR_TYPES = [
     t for t in vars(errors).values() if isinstance(t, type) and issubclass(t, errors.SigClustError)
@@ -153,8 +142,8 @@ def test_each_error_type_exits_with_its_status(matrix_file, capsys, monkeypatch,
 
 
 def test_exit_code_bad_config(matrix_file, capsys):
-    assert main(["test", str(matrix_file), "--nsim", "50"]) == EXIT_CONFIG
-    assert main(["test", str(matrix_file), "--method", "true", "--nsim", "100"]) == EXIT_CONFIG
+    for argv in (["--nsim", "50"], ["--method", "true", "--nsim", "100"]):
+        assert main(["test", str(matrix_file), *argv]) == InvalidConfigError.exit_code
 
 
 @pytest.mark.parametrize("flags", [
@@ -168,7 +157,7 @@ def test_test_flags_are_checked_before_the_matrix_is_read(matrix_file, capsys, m
     monkeypatch.chdir(matrix_file.parent)
     Path("spec.txt").write_text("1.0\n" * 30)  # fits the matrix's d
     monkeypatch.setattr("sigclust.cli.load_matrix", lambda *a, **k: pytest.fail("matrix read"))
-    assert main(["test", str(matrix_file)] + flags) == EXIT_CONFIG
+    assert main(["test", str(matrix_file)] + flags) == InvalidConfigError.exit_code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
@@ -185,7 +174,7 @@ def test_inputs_that_do_not_fit_the_matrix_are_invalid_data(
     side = tmp_path / "side.txt"
     side.write_text("\n".join(lines) + "\n")
     argv = ["test", str(matrix_file), "--nsim", "100", "--seed", "1", option, str(side)]
-    assert main(argv + extra) == EXIT_INVALID_DATA
+    assert main(argv + extra) == InvalidDataError.exit_code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
@@ -244,10 +233,26 @@ def test_tci_subcommand(tmp_path, capsys):
     assert value == pytest.approx(1.0 - (2.0 / np.pi) * (100.0 / 1099.0), rel=1e-8)
 
 
+def test_tci_takes_the_sample_column_of_a_wide_matrix(tmp_path, capsys):
+    # d > n: the sample spectrum pads its d - n + 1 null directions with zeros.
+    path = _write_matrix(tmp_path / "wide.csv", np.random.default_rng(1).normal(size=(40, 12)))
+    out = tmp_path / "sp"
+    assert main(["spectrum", str(path), "--out", str(out)]) == EXIT_OK
+    column = [row.split(",")[1] for row in (out / "spectrum.csv").read_text().splitlines()[1:]]
+    sample = [float(v) for v in column]
+    assert sample.count(0.0) == 40 - 12 + 1
+    spec = tmp_path / "sample.txt"
+    spec.write_text("\n".join(column) + "\n")
+    capsys.readouterr()
+    assert main(["tci", str(spec)]) == EXIT_OK
+    value = float(capsys.readouterr().out)
+    assert value == pytest.approx(1.0 - (2.0 / np.pi) * max(sample) / sum(sample), rel=1e-8)
+
+
 def test_tci_without_eigenvalues_is_a_parse_error(tmp_path, capsys):
     spec = tmp_path / "spec.txt"
     spec.write_text("# no values\n\n")
-    assert main(["tci", str(spec)]) == EXIT_PARSE
+    assert main(["tci", str(spec)]) == ParseError.exit_code
     assert capsys.readouterr().err == f"error: {spec}: no eigenvalues found\n"
 
 
@@ -312,18 +317,19 @@ def test_bad_grid_settings_are_bad_config(tmp_path, capsys, monkeypatch, n_sim, 
     scenario = tmp_path / "scenario.csv"
     scenario.write_text(f"v,w,d,n,a,mode,reps,n_sim\n1,0,6,8,0,none,2,{n_sim}\n")
     argv = ["simulate", "--scenario", str(scenario), "--seed", "5", "--workers", workers]
-    assert main(argv) == EXIT_CONFIG
+    assert main(argv) == InvalidConfigError.exit_code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [message.format(scenario=scenario)]
 
 
 @pytest.mark.parametrize("text,argv,code,message", [
-    ("v,w,d,n,a,mode,reps,n_sim\n1,0,6,8,0,none,2,100\n", ["--seed", "-1"], EXIT_CONFIG,
+    ("v,w,d,n,a,mode,reps,n_sim\n1,0,6,8,0,none,2,100\n", ["--seed", "-1"],
+     InvalidConfigError.exit_code,
      "error: --seed: master_seed must be >= 0, got -1"),
-    ("v,w,d,n\n1,0,6,8\n", ["--seed", "5"], EXIT_PARSE,
+    ("v,w,d,n\n1,0,6,8\n", ["--seed", "5"], ParseError.exit_code,
      "error: {scenario}: scenario file is missing columns ['a', 'mode', 'reps', 'n_sim']"),
-    ("v,w,d,n,a,mode,reps,n_sim\n", ["--seed", "5"], EXIT_PARSE,
+    ("v,w,d,n,a,mode,reps,n_sim\n", ["--seed", "5"], ParseError.exit_code,
      "error: {scenario}: scenario file has no data rows"),
 ], ids=["negative-seed", "missing-columns", "no-rows"])
 def test_scenario_file_and_seed_errors(tmp_path, capsys, monkeypatch, text, argv, code, message):
@@ -337,11 +343,11 @@ def test_scenario_file_and_seed_errors(tmp_path, capsys, monkeypatch, text, argv
 
 
 @pytest.mark.parametrize("row,code,message", [
-    ("1,7,6,8,0,none,2,100", EXIT_CONFIG, "need 0 <= w <= d, got w=7, d=6"),
-    ("1,0,6,8,0,sideways,2,100", EXIT_CONFIG, "signal_mode must be one of"),
-    ("1,x,6,8,0,none,2,100", EXIT_PARSE, "bad scenario row: invalid literal"),
-    ("1,0,6,1,0,none,2,100", EXIT_CONFIG, "need d >= 1 and n >= 2, got d=6, n=1"),
-    ("1,0,6,8,0", EXIT_PARSE, "bad scenario row: expected 8 cells, got 5"),
+    ("1,7,6,8,0,none,2,100", InvalidConfigError.exit_code, "need 0 <= w <= d, got w=7, d=6"),
+    ("1,0,6,8,0,sideways,2,100", InvalidConfigError.exit_code, "signal_mode must be one of"),
+    ("1,x,6,8,0,none,2,100", ParseError.exit_code, "bad scenario row: invalid literal"),
+    ("1,0,6,1,0,none,2,100", InvalidConfigError.exit_code, "need d >= 1 and n >= 2, got d=6, n=1"),
+    ("1,0,6,8,0", ParseError.exit_code, "bad scenario row: expected 8 cells, got 5"),
 ], ids=["w-above-d", "bad-mode", "not-a-number", "one-observation", "short-row"])
 def test_rejected_scenario_row_names_its_line(tmp_path, capsys, monkeypatch, row, code, message):
     monkeypatch.setattr("sigclust.harness._run_tests", lambda *a: pytest.fail("a rep ran"))
@@ -364,7 +370,7 @@ def test_bad_methods_list_is_bad_config(tmp_path, capsys, monkeypatch, methods, 
     scenario = tmp_path / "scenario.csv"
     scenario.write_text("v,w,d,n,a,mode,reps,n_sim\n1,0,6,8,0,none,2,100\n")
     argv = ["simulate", "--scenario", str(scenario), "--methods", methods, "--seed", "5"]
-    assert main(argv) == EXIT_CONFIG
+    assert main(argv) == InvalidConfigError.exit_code
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
@@ -377,7 +383,7 @@ def test_non_comma_matrix_file_is_a_parse_error(tmp_path, capsys, sep):
     path = tmp_path / "ws.txt"
     path.write_text("".join(sep.join(f"{v:.3f}" for v in row) + "\n"
                             for row in np.random.default_rng(9).normal(size=(5, 4))))
-    assert main(["spectrum", str(path)]) == EXIT_PARSE
+    assert main(["spectrum", str(path)]) == ParseError.exit_code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
@@ -405,7 +411,7 @@ def test_undecodable_file_is_a_parse_error(matrix_file, capsys, monkeypatch,
         pass
     else:
         pytest.skip(f"the locale's encoding {encoding} decodes every byte")
-    assert main([*argv, name]) == EXIT_PARSE
+    assert main([*argv, name]) == ParseError.exit_code
     assert capsys.readouterr().err.splitlines() == [
         f"error: {name}: line {line}: byte {offset} is not valid {encoding} text"
     ]
@@ -417,6 +423,13 @@ def test_one_column_file_loads_as_one_variable(tmp_path, capsys):
     path.write_text("".join(f"{float(v)!r}\n" for v in values))
     assert main(["spectrum", str(path), "--observations-in-rows"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("d=1 n=12\n")
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from sigclust import *", namespace)
+    assert set(sigclust.__all__) <= namespace.keys()
+    assert len(set(sigclust.__all__)) == len(sigclust.__all__)
 
 
 def test_runtime_imports_no_scipy():
@@ -452,7 +465,7 @@ def test_worker_count_reports_identical(matrix_file, tmp_path):
 def test_negative_seed_is_bad_config(matrix_file, capsys):
     for argv in (["test", str(matrix_file), "--seed", "-1", "--nsim", "100"],
                  ["simulate", "--seed", "-5"]):
-        assert main(argv) == EXIT_CONFIG
+        assert main(argv) == InvalidConfigError.exit_code
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
@@ -574,7 +587,8 @@ def test_pool_failure_and_interrupt(matrix_file, capsys, monkeypatch, failure, c
 def test_all_tied_columns_are_degenerate(tmp_path, capsys):
     # Every column equal (rows differ): the total sum of squares is zero.
     path = _write_matrix(tmp_path / "tied.csv", np.tile(np.arange(5.0)[:, None], (1, 7)))
-    assert main(["test", str(path), "--nsim", "100", "--seed", "1"]) == EXIT_DEGENERATE
+    argv = ["test", str(path), "--nsim", "100", "--seed", "1"]
+    assert main(argv) == DegenerateDataError.exit_code
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: total sum of squares is zero")

@@ -4,17 +4,16 @@ from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 import lloyd_reference as reference
+from exhaustive_reference import two_means_exhaustive
 from sigclust import (
     DataMatrix,
     DegenerateDataError,
     InvalidConfigError,
     InvalidDataError,
     InvalidLabelsError,
-    TooLargeError,
     cluster_index_for_labels,
     theoretical_ci,
     two_means_ci,
-    two_means_exhaustive,
 )
 from sigclust import cluster
 
@@ -342,11 +341,6 @@ class TestExhaustive:
     def test_separated_pairs(self):
         assert two_means_exhaustive(one_d([-1, -1, 1, 1])).ci == 0.0
 
-    def test_too_large(self):
-        rng = np.random.default_rng(5)
-        with pytest.raises(TooLargeError):
-            two_means_exhaustive(DataMatrix(rng.normal(size=(2, 21))))
-
     def test_degenerate_data(self):
         x = DataMatrix(np.tile(np.arange(3.0)[:, None], (1, 6)))
         with pytest.raises(DegenerateDataError, match="total sum of squares is zero"):
@@ -395,11 +389,16 @@ class TestTheoreticalCI:
         lam = np.sort(rng.uniform(0.1, 50.0, size=40))[::-1]
         assert theoretical_ci(4.0 * lam) == theoretical_ci(lam)
 
+    def test_zero_eigenvalues_are_allowed(self):
+        # A sample spectrum with d > n ends in exact zeros.
+        assert theoretical_ci([4.0, 1.0, 1.0, 0.0]) == pytest.approx(
+            1.0 - (2.0 / np.pi) * (4.0 / 6.0), rel=1e-15
+        )
+
     def test_invalid_inputs(self):
-        with pytest.raises(InvalidDataError):
-            theoretical_ci([])
-        with pytest.raises(InvalidDataError):
-            theoretical_ci([1.0, -2.0])
+        for lam in ([], [1.0, -2.0], [0.0, 0.0], [np.nan]):
+            with pytest.raises(InvalidDataError):
+                theoretical_ci(lam)
 
     @pytest.mark.parametrize(
         "lam, delta1, delta_total, expected",

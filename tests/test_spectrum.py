@@ -15,10 +15,8 @@ from sigclust import (
     NoiseEstimate,
     NoTraceSolutionError,
     NullSpectrum,
-    SpikeBelowBulkError,
     estimate_noise,
     hard_threshold,
-    rmt_predicted_spectrum,
     sample_spectrum,
     soft_threshold,
 )
@@ -244,38 +242,6 @@ class TestSoftThreshold:
         for spec, noise in random_spectra(30, rng, d_range=(5, 150)):
             for out in (soft_threshold(spec, noise), hard_threshold(spec, noise)):
                 assert np.all(np.diff(out.eigenvalues) <= 1e-15)
-
-
-class TestRmtPrediction:
-    def test_single_spike_limits(self):
-        out = rmt_predicted_spectrum(v=100.0, w=1, n=100, d=1000)
-        assert out.shape == (3,)
-        assert out[0] == pytest.approx(100.0 + 10.0 * 100.0 / 99.0, rel=1e-12)
-        assert out[0] == pytest.approx(110.1010, abs=5e-5)
-        assert out[1] == pytest.approx((1.0 + np.sqrt(10.0)) ** 2, rel=1e-12)
-        assert out[1] == pytest.approx(17.3246, abs=5e-5)
-        assert out[2] == pytest.approx((1.0 - np.sqrt(10.0)) ** 2, rel=1e-12)
-
-    def test_tall_spike(self):
-        out = rmt_predicted_spectrum(v=1000.0, w=1, n=100, d=1000)
-        assert out[0] == pytest.approx(1010.01, abs=5e-3)
-
-    def test_spike_below_bulk(self):
-        with pytest.raises(SpikeBelowBulkError) as exc:
-            rmt_predicted_spectrum(v=2.0, w=1, n=100, d=1000)
-        assert exc.value.bulk_edge_upper == pytest.approx((1 + np.sqrt(10.0)) ** 2)
-        assert exc.value.bulk_edge_lower == pytest.approx((1 - np.sqrt(10.0)) ** 2)
-
-    def test_multiple_spikes_width(self):
-        out = rmt_predicted_spectrum(v=50.0, w=4, n=50, d=300)
-        assert out.shape == (6,)
-        assert np.all(out[:4] == out[0])
-
-    def test_shape_preconditions(self):
-        with pytest.raises(InvalidConfigError):
-            rmt_predicted_spectrum(v=100.0, w=1, n=100, d=50)  # d <= n
-        with pytest.raises(InvalidConfigError):
-            rmt_predicted_spectrum(v=100.0, w=100, n=100, d=1000)  # w >= n
 
 
 @pytest.mark.parametrize("method,eigenvalues,error,message", [
