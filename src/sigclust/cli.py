@@ -233,6 +233,15 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _spectrum_table(columns) -> list[str]:
+    """The spectrum CSV's lines. Each column is converted to Python floats
+    first: they format to the same bytes as numpy scalars, in less time."""
+    rows = zip(*(column.tolist() for column in columns))
+    return ["index,sample,hard,soft"] + [
+        f"{k},{a:.9g},{b:.9g},{c:.9g}" for k, (a, b, c) in enumerate(rows, 1)
+    ]
+
+
 def _cmd_spectrum(args) -> int:
     x = _load_input(args)
     spectra, warnings = estimate_null_spectra(x, ("sample", "hard", "soft"))
@@ -243,12 +252,7 @@ def _cmd_spectrum(args) -> int:
     print(f"rank_cap_l: {hard.rank_cap_l}")
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    lam = spectra["sample"].eigenvalues
-    lines = ["index,sample,hard,soft"]
-    for k in range(x.d):
-        lines.append(
-            f"{k + 1},{lam[k]:.9g},{hard.eigenvalues[k]:.9g},{soft.eigenvalues[k]:.9g}"
-        )
+    lines = _spectrum_table([spectra[a].eigenvalues for a in ("sample", "hard", "soft")])
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -15,9 +15,10 @@ size, the margin ``G(w1 - w2) - (w1ᵀGw1 - w2ᵀGw2) / 2`` is the difference
 of squared distances to the two centroids. Every term comes from the
 product ``s = in2 @ G`` of the cluster-2 indicators with G and from G's
 row sums t: ``G w2 = s / n2`` and ``G w1 = (t - s) / n1``. The kernel runs
-on a stack of Gram matrices (one per null replication and arm, or a stack
-of one for the observed statistic): one batched product with one row per
-restart advances every restart of every element still moving. The
+on a stack of Gram matrices (one per null replication and arm, or the
+observed statistic's one). Each restart still moving is one row, and a
+sweep multiplies each element's rows by its G in one product; a restart
+leaves in the sweep that stops it, scored from that sweep's terms. The
 observed statistic and the null replications share this one kernel.
 """
 
@@ -129,91 +130,90 @@ def _start_pairs(n: int, restarts: int, rng) -> tuple[np.ndarray, np.ndarray]:
 def _refill_empty(in2: np.ndarray, far: np.ndarray) -> None:
     # An emptied cluster takes the point farthest from the surviving
     # centroid, which is then the grand mean: the point of largest G_ii.
-    n2 = in2.sum(axis=2)
-    for size, fill in ((in2.shape[2], False), (0, True)):
-        elem, restart = np.nonzero(n2 == size)
-        in2[elem, restart, far[elem]] = fill
+    n2 = in2.sum(axis=1)
+    for size, fill in ((in2.shape[1], False), (0, True)):
+        rows = np.flatnonzero(n2 == size)
+        in2[rows, far[rows]] = fill
 
 
-def _centroid_terms(grams: np.ndarray, rowsums: np.ndarray, in2: np.ndarray):
-    """``G w1``, ``G w2`` (M, R, n) and ``w1ᵀG w1``, ``w2ᵀG w2`` (M, R, 1).
+def _products(grams: np.ndarray, elem: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``mask[i] @ grams[elem[i]]`` for each row i, one product per element
+    over its rows; ``elem`` is sorted, so each element's rows are adjacent."""
+    s = np.empty_like(mask)
+    cuts = (np.flatnonzero(np.diff(elem)) + 1).tolist()
+    for e, a, b in zip(elem[[0] + cuts].tolist(), [0] + cuts, cuts + [len(elem)]):
+        np.matmul(mask[a:b], grams[e], out=s[a:b])
+    return s
 
-    ``in2`` (M, R, n) marks cluster 2 of restart r of element e at
-    ``in2[e, r]``; cluster k's centroid is ``Xc @ w_k`` with ``w_k`` its
-    indicator divided by its size ``n_k``. ``rowsums`` (M, 1, n) holds each
-    G's row sums t. One R-row product ``s = in2 @ G`` gives every term, as
-    G is symmetric: with ``q = in2ᵀs`` and ``in2ᵀt = 1ᵀs``,
-    ``G w2 = s / n2``, ``G w1 = (t - s) / n1``, ``w2ᵀG w2 = q / n2²`` and
-    ``w1ᵀG w1 = (Σt - 2 in2ᵀt + q) / n1²``. Centring makes t zero only up
-    to round-off, which grows with the data's distance from the origin, so
-    t is used as computed and the terms hold for the G at hand.
+
+def _centroid_terms(grams: np.ndarray, rowsums: np.ndarray, elem: np.ndarray, in2: np.ndarray):
+    """``G w1``, ``G w2`` (L, n) and ``w1ᵀG w1``, ``w2ᵀG w2`` (L, 1).
+
+    Row i of ``in2`` (L, n) marks cluster 2 of a restart of element
+    ``elem[i]``, whose Gram matrix is ``grams[elem[i]]`` with row sums t
+    ``rowsums[elem[i]]``; cluster k's centroid is ``Xc @ w_k`` with ``w_k``
+    its indicator divided by its size ``n_k``. One product ``s = in2 @ G``
+    per row gives every term, as G is symmetric: with ``q = in2ᵀs`` and
+    ``in2ᵀt = 1ᵀs``, ``G w2 = s / n2``, ``G w1 = (t - s) / n1``,
+    ``w2ᵀG w2 = q / n2²`` and ``w1ᵀG w1 = (Σt - 2 in2ᵀt + q) / n1²``.
+    Centring makes t zero only up to round-off, which grows with the data's
+    distance from the origin, so t is used as computed and the terms hold
+    for the G at hand.
     """
     mask = in2.astype(np.float64)
-    s = mask @ grams
-    n2 = mask.sum(axis=2, keepdims=True)
-    n1 = in2.shape[2] - n2
-    q = (mask * s).sum(axis=2, keepdims=True)
-    total = rowsums.sum(axis=2, keepdims=True)
-    sq1 = (total - 2.0 * s.sum(axis=2, keepdims=True) + q) / (n1 * n1)
-    return (rowsums - s) / n1, s / n2, sq1, q / (n2 * n2)
+    s = _products(grams, elem, mask)
+    n2 = mask.sum(axis=1, keepdims=True)
+    n1 = in2.shape[1] - n2
+    q = (mask * s).sum(axis=1, keepdims=True)
+    t = rowsums[elem]
+    sq1 = (t.sum(axis=1, keepdims=True) - 2.0 * s.sum(axis=1, keepdims=True) + q) / (n1 * n1)
+    return (t - s) / n1, s / n2, sq1, q / (n2 * n2)
 
 
-def _lloyd(grams: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Final cluster-2 memberships (M, R, n) of one Lloyd run per start pair.
-
-    ``grams`` stacks M centred Gram matrices and ``first``/``second`` (M, R)
-    hold each element's start pairs. Each sweep advances every restart
-    still moving with one batched product: an element's moving restarts
-    are packed to the front of its slot, padded to the largest count. A
-    restart whose labels stop changing is done, and none runs more than
-    ``MAX_LLOYD_ITER`` sweeps. Elements with no moving restart leave the
-    stack once they are half of it.
+def _lloyd(grams: np.ndarray, first: np.ndarray, second: np.ndarray):
+    """Cluster-2 memberships (M, R, n) and wss (M, R) of one Lloyd run per
+    start pair. ``grams`` stacks M centred Gram matrices and ``first`` and
+    ``second`` (M, R) hold each element's start pairs. Each (element,
+    restart) still moving is one row, grouped by element, and a sweep
+    multiplies each element's rows by its Gram matrix once. A restart
+    leaves in the sweep that finds its labels unchanged, scored from that
+    sweep's terms by the centroid identity ``wss = tr G - n1 w1ᵀG w1 -
+    n2 w2ᵀG w2``; one still moving after ``MAX_LLOYD_ITER`` sweeps is
+    refilled and scored in one more.
     """
     m, r = first.shape
+    n = grams.shape[1]
     diag = np.diagonal(grams, axis1=1, axis2=2)
     far = np.argmax(diag, axis=1)
     elem = np.arange(m)[:, None]
     # margin g > 0 means closer to centroid 1; initial ties go to cluster 1
     g = (grams[elem, first] - grams[elem, second]
          - 0.5 * (diag[elem, first] - diag[elem, second])[:, :, None])
-    in2 = g < 0.0
-    moving = np.ones((m, r), dtype=bool)
-    elems, stack, rowsums = np.arange(m), grams, grams.sum(axis=2)[:, None, :]
-    for _ in range(MAX_LLOYD_ITER):
-        live = moving[elems]
-        counts = live.sum(axis=1)
-        width = int(counts.max())
-        slot = np.argsort(~live, axis=1, kind="stable")[:, :width]  # moving first
-        real = np.arange(width) < counts[:, None]
-        slot = np.where(real, slot, slot[:, :1])
-        rows = np.broadcast_to(elems[:, None], slot.shape)
-        cur = in2[rows, slot]
-        _refill_empty(cur, far[elems])
-        gw1, gw2, sq1, sq2 = _centroid_terms(stack, rowsums, cur)
+    cur = (g < 0.0).reshape(m * r, n)
+    in2, wss = np.empty((m, r, n), dtype=bool), np.empty((m, r))
+    rowsums, trace = grams.sum(axis=2), np.trace(grams, axis1=1, axis2=2)
+    elem, restart = np.divmod(np.arange(m * r), r)
+    for sweep in range(MAX_LLOYD_ITER + 1):  # the last one only scores
+        _refill_empty(cur, far[elem])
+        gw1, gw2, sq1, sq2 = _centroid_terms(grams, rowsums, elem, cur)
         g = gw1 - gw2 - 0.5 * (sq1 - sq2)
         new = (g < 0.0) | ((g == 0.0) & cur)  # ties keep their label
-        in2[rows[real], slot[real]] = new[real]
-        moving[elems] = False
-        moved = real & (new != cur).any(axis=2)
-        moving[rows[moved], slot[moved]] = True
-        alive = moved.any(axis=1)
-        if not alive.any():
+        moved = (new != cur).any(axis=1) & (sweep < MAX_LLOYD_ITER)
+        stop = ~moved
+        e, k, n2 = elem[stop], restart[stop], cur[stop].sum(axis=1)
+        in2[e, k] = cur[stop]
+        # wss via the centroid identity; clamp round-off below zero
+        wss[e, k] = np.maximum(trace[e] - (n - n2) * sq1[stop, 0] - n2 * sq2[stop, 0], 0.0)
+        elem, restart, cur = elem[moved], restart[moved], new[moved]
+        if not elem.size:
             break
-        if 2 * alive.sum() <= len(elems):
-            elems, stack, rowsums = elems[alive], stack[alive], rowsums[alive]
-    _refill_empty(in2, far)
-    return in2
+    return in2, wss
 
 
 def _best_splits(grams: np.ndarray, first: np.ndarray, second: np.ndarray):
     """Cluster-2 membership (M, n) and wss (M,) of each element's best
     restart; the first restart wins ties."""
-    in2 = _lloyd(grams, first, second)
-    n2 = in2.sum(axis=2)
-    _, _, sq1, sq2 = _centroid_terms(grams, grams.sum(axis=2)[:, None, :], in2)
-    # wss via the centroid identity; clamp round-off below zero
-    trace = np.trace(grams, axis1=1, axis2=2)[:, None]
-    wss = np.maximum(trace - (in2.shape[2] - n2) * sq1[..., 0] - n2 * sq2[..., 0], 0.0)
+    in2, wss = _lloyd(grams, first, second)
     best = np.argmin(wss, axis=1)
     elem = np.arange(len(grams))
     return in2[elem, best], wss[elem, best]
@@ -228,8 +228,8 @@ def two_means_ci(x: DataMatrix, restarts: int = 20, seed=None) -> ClusterSplit:
     A point equidistant from both centroids keeps its current label, and an
     emptied cluster is refilled with the point farthest from the surviving
     centroid. The sweeps run in kernel form on the n-by-n Gram matrix of
-    the centered observations, in the null's stacked kernel as a stack of
-    one; the winning split is then scored directly from the data by
+    the centered observations, in the null's kernel with this matrix as its
+    only element; the winning split is then scored directly from the data by
     :func:`cluster_index_for_labels`, which raises on degenerate data. The
     returned index is an upper bound on the global optimum and is
     deterministic given the seed.

@@ -21,7 +21,8 @@ the Gaussian draw and the k-means seeding within each replication.
 
 Replications run in blocks, mapped on a worker pool when one is open. A
 block stacks the Gram matrices of all its (replication, arm) elements
-and runs their 2-means together, one batched product per Lloyd sweep.
+and runs their 2-means together: each Lloyd sweep multiplies every
+element's still-moving restarts by its Gram matrix in one product.
 Its size comes from a byte budget of Gram matrices (``_BLOCK_BYTES``),
 never from the worker count, and no element's result depends on the rest
 of its block.
@@ -61,7 +62,11 @@ DEFAULT_N_SIM = 1000
 MIN_N_SIM = 100
 DEFAULT_RESTARTS_NULL = 20
 DEFAULT_RESTARTS_OBSERVED = 100
-_BLOCK_BYTES = 1 << 20  # Gram matrices per block; 2 MB ran no faster and used more memory
+# Gram matrices per block. Medians of 11 in-process CLI runs at 1, 2 and
+# 4 MiB (2-core x86-64, one OpenBLAS thread): test-combined-d1k 0.368,
+# 0.327, 0.370 s; grid-calib-w2 0.506, 0.499, 0.563 s; test-hard-d20k
+# 1.274, 1.253, 1.310 s.
+_BLOCK_BYTES = 2 << 20
 _BLOCK_REPS = 64  # bounds the block's restart arrays when n is small
 
 
@@ -306,8 +311,8 @@ def simulate_null_cis(spectrum: NullSpectrum, n: int, config: TestConfig) -> np.
     triangle when d - K > n), and runs seeded 2-means with
     ``restarts_null`` restarts on the centred Gram matrix of the two.
     Replications run in blocks sized from a byte budget of Gram matrices
-    that does not depend on the worker count, one batched product per
-    Lloyd sweep per block, on a pool of ``config.workers`` processes
+    that does not depend on the worker count, each Lloyd sweep one product
+    per element of a block, on a pool of ``config.workers`` processes
     opened for this call when that is above one. Output is ordered by
     replication index and is identical for any worker count and block size.
     """

@@ -1,5 +1,5 @@
 """The original d-space Lloyd 2-means, kept as the reference for the
-Gram-form batched kernel in ``sigclust.cluster``.
+Gram-form kernel in ``sigclust.cluster``.
 
 It runs one restart at a time on the raw d-by-n values: seeded distinct-pair
 starts, initial ties to cluster 1, later ties keep their label, an emptied
@@ -44,21 +44,30 @@ def _repair_empty(values, labels, row_total):
 
 
 def lloyd(values, rng, row_total):
-    """One seeded Lloyd run; returns labels with both clusters nonempty."""
+    """One seeded Lloyd run: labels with both clusters nonempty, and the
+    number of the sweep that left them unchanged (None if no sweep within
+    the cap did)."""
     n = values.shape[1]
     i = int(rng.integers(n))
     j = int(rng.integers(n - 1))
     if j >= i:
         j += 1  # uniform distinct pair of initial observations
     labels = _assign(values, values[:, i], values[:, j], current=None)
-    for _ in range(cluster.MAX_LLOYD_ITER):
+    for sweep in range(1, cluster.MAX_LLOYD_ITER + 1):
         labels = _repair_empty(values, labels, row_total)
         c1, c2, _ = _centroids(values, labels, row_total)
         new = _assign(values, c1, c2, current=labels)
         if np.array_equal(new, labels):
-            break
+            return labels, sweep
         labels = new
-    return _repair_empty(values, labels, row_total)
+    return _repair_empty(values, labels, row_total), None
+
+
+def restart_sweeps(values, restarts, rng):
+    """The converging sweep of each seeded restart (None if capped), in
+    restart order."""
+    row_total = values.sum(axis=1)
+    return [lloyd(values, rng, row_total)[1] for _ in range(restarts)]
 
 
 def restart_results(values, restarts, rng):
@@ -73,7 +82,7 @@ def restart_results(values, restarts, rng):
     total_sq = float((centred * centred).sum())
     out = []
     for _ in range(restarts):
-        labels = lloyd(values, rng, row_total)
+        labels, _ = lloyd(values, rng, row_total)
         c1, c2, n2 = _centroids(centred, labels, centred_total)
         # wss via the centroid identity; clamp round-off below zero
         wss = max(total_sq - (n - n2) * float(c1 @ c1) - n2 * float(c2 @ c2), 0.0)

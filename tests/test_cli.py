@@ -11,7 +11,9 @@ import pytest
 
 import sigclust
 from sigclust import errors
-from sigclust.cli import EXIT_BROKEN_PIPE, EXIT_INTERRUPTED, EXIT_IO, EXIT_OK, EXIT_OTHER, main
+from sigclust.cli import (
+    EXIT_BROKEN_PIPE, EXIT_INTERRUPTED, EXIT_IO, EXIT_OK, EXIT_OTHER, _spectrum_table, main,
+)
 from sigclust.errors import DegenerateDataError, InvalidConfigError, InvalidDataError, ParseError
 
 
@@ -225,6 +227,16 @@ def test_spectrum_out_writes_csv(matrix_file, tmp_path, capsys):
     assert len(lines) == 31
 
 
+def test_spectrum_table_formats_like_numpy_scalars():
+    values = np.array([0.0, 5e-324, 1e300, np.nextafter(1.0, 0.0)])
+    columns = [values, values[::-1], -values]
+    want = ["index,sample,hard,soft"] + [
+        ",".join([str(k + 1)] + [format(np.float64(c[k]), ".9g") for c in columns])
+        for k in range(values.size)
+    ]
+    assert _spectrum_table(columns) == want
+
+
 def test_tci_subcommand(tmp_path, capsys):
     spec = tmp_path / "spec.txt"
     spec.write_text("100\n" + "\n".join(["1"] * 999) + "\n")
@@ -257,7 +269,7 @@ def test_tci_without_eigenvalues_is_a_parse_error(tmp_path, capsys):
 
 
 def _module_env():
-    """Environment in which a child ``python -m sigclust.cli`` imports this sigclust."""
+    """Environment in which a child ``python -m`` imports this sigclust."""
     src = str(Path(sigclust.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
@@ -271,6 +283,18 @@ def test_module_entry_point_runs_a_command(tmp_path):
     )
     assert proc.returncode == EXIT_OK
     assert float(proc.stdout) == pytest.approx(1.0 - (2.0 / np.pi) * (100.0 / 1099.0), rel=1e-8)
+
+
+def test_package_runs_as_a_module(tmp_path):
+    spec = tmp_path / "spec.txt"
+    spec.write_text("4\n1\n1\n1\n")
+    for argv in (["--version"], ["tci", str(spec)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sigclust", *argv],
+            capture_output=True, text=True, env=_module_env(), timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+    assert float(proc.stdout) == pytest.approx(1.0 - (2.0 / np.pi) * (4.0 / 7.0), rel=1e-8)
 
 
 def test_simulate_subcommand(tmp_path, capsys):

@@ -145,7 +145,7 @@ def _same_split(a, b, mirror_ok):
 
 
 class TestBatchedKernelAgainstReference:
-    """The Gram-form batched kernel against the original d-space Lloyd."""
+    """The Gram-form kernel against the original d-space Lloyd."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -173,7 +173,7 @@ class TestBatchedKernelAgainstReference:
             )
             gram = cluster._gram(values)[None]
             first, second = cluster._start_pairs(n, restarts, np.random.default_rng(seed))
-            in2 = cluster._lloyd(gram, first[None], second[None])[0]
+            in2 = cluster._lloyd(gram, first[None], second[None])[0][0]
             _, kernel_wss = cluster._best_splits(gram, first[None], second[None])
             index = kernel_wss[0] / np.trace(gram[0])
             split = two_means_ci(
@@ -197,14 +197,15 @@ class TestBatchedKernelAgainstReference:
         grams = values.transpose(0, 2, 1) @ values
         in2 = rng.random((3, 6, 15)) < 0.4
         in2[..., 0], in2[..., 1] = True, False
-        got = cluster._centroid_terms(grams, grams.sum(axis=2)[:, None, :], in2)
+        elem = np.repeat(np.arange(3), 6)
+        got = cluster._centroid_terms(grams, grams.sum(axis=2), elem, in2.reshape(18, 15))
         w1 = ~in2 / (~in2).sum(axis=2, keepdims=True)
         w2 = in2 / in2.sum(axis=2, keepdims=True)
         gw1, gw2 = w1 @ grams, w2 @ grams
         want = (gw1, gw2, (w1 * gw1).sum(axis=2, keepdims=True),
                 (w2 * gw2).sum(axis=2, keepdims=True))
         for a, b in zip(got, want):
-            np.testing.assert_allclose(a, b, rtol=1e-12)
+            np.testing.assert_allclose(a, b.reshape(18, -1), rtol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -220,8 +221,8 @@ class TestBatchedKernelAgainstReference:
     @example(n=30, restarts=12, shapes=[(60, 30, s) for s in range(6)], cap=1)
     def test_stack_equals_each_element_alone(self, n, restarts, shapes, cap):
         # Elements of one stack converge after different numbers of sweeps
-        # (one-distinct-column elements at once), so the stacked run packs
-        # and drops them while the others keep moving.
+        # (one-distinct-column elements at once), so their restarts leave
+        # the stacked run while the others keep moving.
         grams, firsts, seconds = [], [], []
         for d, distinct, seed in shapes:
             grams.append(cluster._gram(_columns(d, n, distinct, seed)))
@@ -232,14 +233,46 @@ class TestBatchedKernelAgainstReference:
         with pytest.MonkeyPatch.context() as mp:
             if cap is not None:
                 mp.setattr(cluster, "MAX_LLOYD_ITER", cap)
-            in2 = cluster._lloyd(grams, firsts, seconds)
+            in2, _ = cluster._lloyd(grams, firsts, seconds)
             labels, wss = cluster._best_splits(grams, firsts, seconds)
             for e in range(len(grams)):
                 one = (grams[e:e + 1], firsts[e:e + 1], seconds[e:e + 1])
-                np.testing.assert_array_equal(in2[e], cluster._lloyd(*one)[0])
+                np.testing.assert_array_equal(in2[e], cluster._lloyd(*one)[0][0])
                 alone_labels, alone_wss = cluster._best_splits(*one)
                 np.testing.assert_array_equal(labels[e], alone_labels[0])
                 assert wss[e] == alone_wss[0]
+
+    @pytest.mark.parametrize("cap", [None, 1, 2])
+    def test_multiplies_only_the_rows_lloyd_needs(self, cap):
+        # One row per sweep that each restart needs when run alone, plus one
+        # only for a restart that the cap stops; the sweep that stops a
+        # restart also scores it, so no product scores the converged ones.
+        n, restarts = 30, 12
+        shapes = [(60, 30, 0), (2, 3, 1), (1, 2, 2), (300, 30, 3), (8, 30, 4)]
+        values = [_columns(d, n, distinct, seed) for d, distinct, seed in shapes]
+        grams = np.array([cluster._gram(v) for v in values])
+        firsts, seconds = np.array(
+            [cluster._start_pairs(n, restarts, np.random.default_rng(seed))
+             for _, _, seed in shapes]
+        ).transpose(1, 0, 2)
+        products, rows = cluster._products, []
+
+        def spy(grams, elem, mask):
+            rows.append(len(mask))
+            return products(grams, elem, mask)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cluster, "_products", spy)
+            if cap is not None:
+                mp.setattr(cluster, "MAX_LLOYD_ITER", cap)
+            cluster._best_splits(grams, firsts, seconds)
+            sweeps = [reference.restart_sweeps(v, restarts, np.random.default_rng(seed))
+                      for v, (_, _, seed) in zip(values, shapes)]
+            need = [[s or cluster.MAX_LLOYD_ITER + 1 for s in e] for e in sweeps]
+        if cap is None:  # the elements stop after different numbers of sweeps
+            assert len({max(e) for e in need}) > 1
+        assert len(rows) == max(max(e) for e in need)
+        assert sum(rows) == sum(map(sum, need))
 
     @settings(max_examples=200, deadline=None)
     @given(
