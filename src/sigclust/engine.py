@@ -241,7 +241,8 @@ def _null_grams(plan, n, rng, out):
     d, k, heads, floors = plan
     zc = _centred(rng.standard_normal((k, n)))
     bulk = _centred(_bulk_factor(rng, d - k, n))
-    shared_end = rng.bit_generator.state
+    # Building the state dict costs about 10 µs: only wide arms need it.
+    shared_end = rng.bit_generator.state if any(h.size > k for h in heads) else None
     bulk_gram = bulk.T @ bulk
     for e, (head, floor) in enumerate(zip(heads, floors)):
         rows, own_gram = head[:k, None] * zc, bulk_gram
@@ -260,6 +261,8 @@ def _block_cis(plan, n, master_seed, restarts, reps):
     Each replication draws its Gram matrices and one set of start pairs
     from its own two streams; every arm reuses the start pairs, and the
     2-means of every (replication, arm) element runs in one stacked kernel.
+    An element whose Gram matrix has a zero trace (a zero total sum of
+    squares) gets NaN, so that it fails only the run it belongs to.
     """
     arms = len(plan[2])
     grams = np.empty((len(reps) * arms, n, n))
@@ -270,10 +273,9 @@ def _block_cis(plan, n, master_seed, restarts, reps):
         starts[:, elems] = np.stack(_start_pairs(n, restarts, as_generator(km_seq)))[:, None]
         _null_grams(plan, n, as_generator(gauss_seq), grams[elems])
     tss = np.trace(grams, axis1=1, axis2=2)
-    if np.any(tss <= 0.0):
-        raise DegenerateDataError("total sum of squares is zero; no cluster structure")
     _, wss = _best_splits(grams, *starts)
-    return (wss / tss).reshape(len(reps), arms)
+    cis = np.divide(wss, tss, out=np.full_like(wss, np.nan), where=tss > 0.0)
+    return cis.reshape(len(reps), arms)
 
 
 def _block_size(n, arms):
@@ -317,7 +319,7 @@ def simulate_null_cis(spectrum: NullSpectrum, n: int, config: TestConfig) -> np.
     replication index and is identical for any worker count and block size.
     """
     with _pool(config.workers) as pool:
-        return _simulate((spectrum,), n, config, pool)[0]
+        return _checked(_simulate((spectrum,), n, config, pool)[0])
 
 
 def estimate_null_spectra(
@@ -365,9 +367,11 @@ def run_tests(
     combined null is the per-replication minimum of the hard and soft
     indices. With ``config.labels`` set, the observed index is computed on
     the given partition instead of by 2-means optimization, and the mode
-    is recorded in the report. With n = 2 the reports warn that the test
-    cannot reject. The null runs on a pool of ``config.workers`` processes
-    opened for this call when that is above one.
+    is recorded in the report. With n = 2 every split puts one observation
+    in each cluster, so the null is all zeros without simulating and the
+    reports warn that the test cannot reject. The null runs on a pool of
+    ``config.workers`` processes opened for this call when that is above
+    one.
     """
     with _pool(config.workers) as pool:
         return _run_tests(x, config, methods, pool)
@@ -375,11 +379,44 @@ def run_tests(
 
 def _run_tests(x, config, methods, pool):
     """``run_tests`` with the null's blocks mapped on ``pool`` (or serially
-    when it is None), so that a grid can share one pool across its runs."""
+    when it is None): the one-data-set case of a grid's shared null."""
+    prelude = _prelude(x, config, methods)
+    return _reports(prelude, _shared_nulls([prelude], pool)[0])
+
+
+def _arms(methods):
+    """The distinct null spectra that ``methods`` need, in order."""
+    return tuple(dict.fromkeys(
+        a for m in methods for a in (("hard", "soft") if m == "combined" else (m,))
+    ))
+
+
+@dataclass(frozen=True)
+class _Prelude:
+    """What one data set's run keeps until its null has run: the observed
+    index and the null spectra, not the data matrix."""
+
+    config: TestConfig
+    methods: tuple[str, ...]
+    arms: tuple[str, ...]
+    n: int
+    ci_observed: float
+    observed_mode: str
+    spectra: dict
+    warnings: tuple[str, ...]
+    started: float
+
+    @property
+    def simulated(self) -> list[NullSpectrum]:
+        """The arms' spectra to simulate, in arm order; none at n = 2."""
+        return [] if self.n == 2 else [self.spectra[a] for a in self.arms]
+
+
+def _prelude(x, config, methods) -> _Prelude:
+    """The observed statistic, null spectra and warnings of one data set."""
     methods = tuple(methods) if methods is not None else (config.method,)
     check_methods(methods)
-    t0 = time.perf_counter()
-
+    started = time.perf_counter()
     if config.labels is not None:
         split = cluster_index_for_labels(x, config.labels)
         observed_mode = "known-labels"
@@ -390,25 +427,52 @@ def _run_tests(x, config, methods, pool):
             seed=stream(config.master_seed, OBSERVED),
         )
         observed_mode = "two-means"
-    ci_obs = split.ci
-
-    arms = tuple(dict.fromkeys(
-        a for m in methods for a in (("hard", "soft") if m == "combined" else (m,))
-    ))
-    spectra, shared_warnings = estimate_null_spectra(x, arms, config.true_eigenvalues)
+    arms = _arms(methods)
+    spectra, warnings = estimate_null_spectra(x, arms, config.true_eigenvalues)
     if x.n == 2:
-        shared_warnings.append(
+        warnings.append(
             "n=2: every split puts one observation in each cluster, so the observed "
             "and every null cluster index are 0 and the test cannot reject"
         )
-    null = dict(zip(arms, _simulate([spectra[a] for a in arms], x.n, config, pool)))
-    if "combined" in methods:
+    return _Prelude(config, methods, arms, x.n, split.ci, observed_mode, spectra,
+                    tuple(warnings), started)
+
+
+def _shared_nulls(preludes, pool):
+    """Per prelude, the null indices of its simulated arms, all from one
+    ``_simulate`` call over every prelude's arms; none is made when no
+    prelude simulates. The preludes share d, n and their configs' n_sim,
+    master_seed and restarts_null, as the cells of one grid group do; each
+    arm's indices do not depend on the other arms of the call."""
+    per_prelude = [p.simulated for p in preludes]
+    spectra = [s for arms in per_prelude for s in arms]
+    cis = iter(_simulate(spectra, preludes[0].n, preludes[0].config, pool) if spectra else ())
+    return [tuple(next(cis) for _ in arms) for arms in per_prelude]
+
+
+def _checked(cis):
+    """``cis``, unless an element's Gram matrix had a zero trace."""
+    if np.isnan(cis).any():
+        raise DegenerateDataError("total sum of squares is zero; no cluster structure")
+    return cis
+
+
+def _reports(prelude, cis) -> dict[str, TestReport]:
+    """One report per method from a prelude and its arms' null indices
+    ``cis``; at n = 2 every null index is 0 and ``cis`` is empty."""
+    config = prelude.config
+    if prelude.n == 2:
+        cis = [np.zeros(config.n_sim) for _ in prelude.arms]
+    null = {a: _checked(c) for a, c in zip(prelude.arms, cis)}
+    spectra = dict(prelude.spectra)
+    if "combined" in prelude.methods:
         spectra["combined"] = (spectra["hard"], spectra["soft"])
         null["combined"] = np.minimum(null["hard"], null["soft"])
-    elapsed = time.perf_counter() - t0
+    elapsed = time.perf_counter() - prelude.started
 
+    ci_obs = prelude.ci_observed
     reports = {}
-    for m in methods:
+    for m in prelude.methods:
         null_cis = null[m]
         null_mean = float(null_cis.mean())
         null_sd = float(null_cis.std(ddof=1))
@@ -421,12 +485,12 @@ def _run_tests(x, config, methods, pool):
             null_mean=null_mean,
             null_sd=null_sd,
             spectrum_used=spectra[m],
-            warnings=tuple(shared_warnings),
+            warnings=prelude.warnings,
             seed=config.master_seed,
             n_sim=config.n_sim,
             restarts_null=config.restarts_null,
             restarts_observed=config.restarts_observed,
-            observed_mode=observed_mode,
+            observed_mode=prelude.observed_mode,
             timing_seconds=elapsed,
         )
     return reports

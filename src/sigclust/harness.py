@@ -20,9 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import engine
 from ._streams import SCENARIO_DATA, SCENARIO_TEST, as_generator, seed_int, stream
 from .engine import (
-    METHODS, MIN_N_SIM, TestConfig, _pool, _run_tests, check_methods, check_workers, resolve_seed,
+    METHODS, MIN_N_SIM, TestConfig, _arms, _pool, _prelude, _reports, _shared_nulls,
+    check_methods, check_workers, resolve_seed,
 )
 from .errors import InvalidConfigError, ParseError, SigClustError
 from .io import _open_text
@@ -186,39 +188,82 @@ def run_grid(specs, workers: int = 1) -> GridSummary:
 
     Each replication generates one data set and runs all of the scenario's
     methods on it, sharing the observed statistic and the estimated
-    spectra. With ``workers`` > 1 every replication runs its null on one
-    process pool, shut down before this returns. A failed replication is
-    recorded as a warning on every method of its cell rather than
-    aborting the grid; a bad ``workers`` raises before any runs.
+    spectra. Cells that share d, n, n_sim and the master seed draw the same
+    null streams in each replication, so, in chunks of consecutive such
+    cells whose null Gram matrices for one replication fit the engine's
+    block budget, each replication simulates every arm of the chunk's
+    cells in one null pass. Each arm's null does not depend on the arms
+    beside it, so every p-value equals that of the cell run alone. With
+    ``workers`` > 1 every null pass runs on one process pool, shut down
+    before this returns. A failed replication is recorded as a warning on
+    every method of its cell, and of no other cell, rather than aborting
+    the grid; a bad ``workers`` raises before any runs.
     """
     check_workers(workers)
-    cells = []
+    specs = list(specs)
+    pvals = [np.full((len(s.methods), s.reps), np.nan) for s in specs]
+    warns: list[list[str]] = [[] for _ in specs]
     with _pool(workers) as pool:
-        for spec in specs:
-            pvals = np.full((len(spec.methods), spec.reps), np.nan)
-            warns: list[str] = []
-            true_eigs = true_null_eigenvalues(spec) if "true" in spec.methods else None
-            for rep in range(spec.reps):
-                try:
-                    x = generate_scenario_sample(spec, rep)
-                    config = TestConfig(
-                        method=spec.methods[0],
-                        n_sim=spec.n_sim,
-                        master_seed=seed_int(stream(spec.master_seed, SCENARIO_TEST, rep)),
-                        true_eigenvalues=true_eigs,
-                    )
-                    reports = _run_tests(x, config, spec.methods, pool)
-                except SigClustError as err:
-                    warns.append(f"rep {rep}: {err}")
-                    continue
-                pvals[:, rep] = [reports[m].p_empirical for m in spec.methods]
-                # Every method of a run carries the run's warnings.
-                warns += (f"rep {rep}: {w}" for w in reports[spec.methods[0]].warnings)
-            cells += (
-                CellSummary(spec=spec, method=m, pvalues=p, warnings=tuple(warns))
-                for m, p in zip(spec.methods, pvals)
-            )
-    return GridSummary(cells=tuple(cells))
+        for chunk in _chunks(specs):
+            for rep in range(max(specs[i].reps for i in chunk)):
+                preludes = {}
+                for i in (i for i in chunk if rep < specs[i].reps):
+                    try:
+                        preludes[i] = _cell_prelude(specs[i], rep)
+                    except SigClustError as err:
+                        warns[i].append(f"rep {rep}: {err}")
+                nulls = _shared_nulls(list(preludes.values()), pool)
+                for (i, prelude), cis in zip(preludes.items(), nulls):
+                    try:
+                        reports = _reports(prelude, cis)
+                    except SigClustError as err:
+                        warns[i].append(f"rep {rep}: {err}")
+                        continue
+                    pvals[i][:, rep] = [reports[m].p_empirical for m in specs[i].methods]
+                    # Every method of a run carries the run's warnings.
+                    warns[i] += (f"rep {rep}: {w}" for w in prelude.warnings)
+    return GridSummary(cells=tuple(
+        CellSummary(spec=spec, method=m, pvalues=p, warnings=tuple(w))
+        for spec, cell_p, w in zip(specs, pvals, warns)
+        for m, p in zip(spec.methods, cell_p)
+    ))
+
+
+def _cell_prelude(spec: ScenarioSpec, rep: int):
+    """Replication ``rep``'s data set, reduced to the engine's prelude: its
+    observed index and null spectra, without the data matrix."""
+    config = TestConfig(
+        method=spec.methods[0],
+        n_sim=spec.n_sim,
+        master_seed=seed_int(stream(spec.master_seed, SCENARIO_TEST, rep)),
+        true_eigenvalues=true_null_eigenvalues(spec) if "true" in spec.methods else None,
+    )
+    return _prelude(generate_scenario_sample(spec, rep), config, spec.methods)
+
+
+def _chunks(specs):
+    """Indices of the cells whose nulls run together, chunk by chunk.
+
+    Cells sharing (d, n, n_sim, master_seed) form a group, in file order,
+    and each group is cut into runs of consecutive cells whose Gram
+    matrices for one replication (arms x 8n² bytes) fit the engine's
+    ``_BLOCK_BYTES``, with at least one cell per chunk, so memory does not
+    grow with the grid.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, s in enumerate(specs):
+        groups.setdefault((s.d, s.n, s.n_sim, s.master_seed), []).append(i)
+    for members in groups.values():
+        chunk, size = [], 0
+        for i in members:
+            spec = specs[i]
+            gram_bytes = len(_arms(spec.methods)) * 8 * spec.n * spec.n
+            if chunk and size + gram_bytes > engine._BLOCK_BYTES:
+                yield chunk
+                chunk, size = [], 0
+            chunk.append(i)
+            size += gram_bytes
+        yield chunk
 
 
 def builtin_calibration_grid_path() -> Path:
@@ -238,7 +283,9 @@ def load_scenario_file(
     and every row as wide as the header. Unless ``full_scale`` is set, reps
     and n_sim are capped at the desk-scale profile (20 and 200). All
     scenarios share ``master_seed`` so that equal (rep, seed) pairs reuse
-    identical Gaussian draws; a negative one raises before the file is read.
+    identical Gaussian draws: ``run_grid`` then draws each null replication
+    once for the rows that share d, n and n_sim. A negative seed raises
+    before the file is read.
     """
     master_seed = resolve_seed(master_seed)
     methods, specs = tuple(methods), []

@@ -337,7 +337,7 @@ def test_simulate_with_two_workers_leaves_no_process(tmp_path, capsys):
     ("99", "1", "error: {scenario}: line 2: n_sim must be >= 100, got 99"),
 ], ids=["100-0-error: workers must be >= 1", "99-1-error: n_sim must be >= 100, got 99"])
 def test_bad_grid_settings_are_bad_config(tmp_path, capsys, monkeypatch, n_sim, workers, message):
-    monkeypatch.setattr("sigclust.harness._run_tests", lambda *a: pytest.fail("a rep ran"))
+    monkeypatch.setattr("sigclust.harness._prelude", lambda *a: pytest.fail("a rep ran"))
     scenario = tmp_path / "scenario.csv"
     scenario.write_text(f"v,w,d,n,a,mode,reps,n_sim\n1,0,6,8,0,none,2,{n_sim}\n")
     argv = ["simulate", "--scenario", str(scenario), "--seed", "5", "--workers", workers]
@@ -357,7 +357,7 @@ def test_bad_grid_settings_are_bad_config(tmp_path, capsys, monkeypatch, n_sim, 
      "error: {scenario}: scenario file has no data rows"),
 ], ids=["negative-seed", "missing-columns", "no-rows"])
 def test_scenario_file_and_seed_errors(tmp_path, capsys, monkeypatch, text, argv, code, message):
-    monkeypatch.setattr("sigclust.harness._run_tests", lambda *a: pytest.fail("a rep ran"))
+    monkeypatch.setattr("sigclust.harness._prelude", lambda *a: pytest.fail("a rep ran"))
     scenario = tmp_path / "scenario.csv"
     scenario.write_text(text)
     assert main(["simulate", "--scenario", str(scenario)] + argv) == code
@@ -374,7 +374,7 @@ def test_scenario_file_and_seed_errors(tmp_path, capsys, monkeypatch, text, argv
     ("1,0,6,8,0", ParseError.exit_code, "bad scenario row: expected 8 cells, got 5"),
 ], ids=["w-above-d", "bad-mode", "not-a-number", "one-observation", "short-row"])
 def test_rejected_scenario_row_names_its_line(tmp_path, capsys, monkeypatch, row, code, message):
-    monkeypatch.setattr("sigclust.harness._run_tests", lambda *a: pytest.fail("a rep ran"))
+    monkeypatch.setattr("sigclust.harness._prelude", lambda *a: pytest.fail("a rep ran"))
     scenario = tmp_path / "scenario.csv"
     scenario.write_text(f"v,w,d,n,a,mode,reps,n_sim\n1,0,6,8,0,none,2,100\n{row}\n")
     assert main(["simulate", "--scenario", str(scenario), "--seed", "5"]) == code
@@ -390,7 +390,7 @@ def test_rejected_scenario_row_names_its_line(tmp_path, capsys, monkeypatch, row
     ("hard,hard", "method 'hard' is listed twice"),
 ], ids=["empty", "unknown", "duplicate"])
 def test_bad_methods_list_is_bad_config(tmp_path, capsys, monkeypatch, methods, message):
-    monkeypatch.setattr("sigclust.harness._run_tests", lambda *a: pytest.fail("a rep ran"))
+    monkeypatch.setattr("sigclust.harness._prelude", lambda *a: pytest.fail("a rep ran"))
     scenario = tmp_path / "scenario.csv"
     scenario.write_text("v,w,d,n,a,mode,reps,n_sim\n1,0,6,8,0,none,2,100\n")
     argv = ["simulate", "--scenario", str(scenario), "--methods", methods, "--seed", "5"]
@@ -508,6 +508,10 @@ def test_two_observations_combined(tmp_path, capsys):
     assert code == EXIT_OK
     captured = capsys.readouterr()
     assert "d=6 n=2" in captured.out
+    # Every index is exactly 0 at n = 2: the observed one ties the whole null.
+    assert "p-value (empirical):  1\n" in captured.out
+    assert "p-value (gaussian):   0.5\n" in captured.out
+    assert "null mean / sd:       0 / 0\n" in captured.out
     assert any(
         line.startswith("warning: ") and "cannot reject" in line
         for line in captured.err.splitlines()

@@ -9,6 +9,7 @@ from scipy.special import ndtr
 
 from sigclust import (
     DataMatrix,
+    DegenerateDataError,
     InvalidConfigError,
     InvalidLabelsError,
     InvalidSpectraError,
@@ -109,6 +110,18 @@ class TestSimulateNullCis:
         config = TestConfig(n_sim=100, master_seed=20240607, restarts_null=restarts)
         cis = simulate_null_cis(spec, n=9, config=config)
         assert hashlib.sha256(cis.tobytes()).hexdigest() == digest
+
+    def test_zero_total_sum_of_squares_raises(self, monkeypatch):
+        real = engine._null_grams
+
+        def zero(plan, n, rng, out):
+            real(plan, n, rng, out)
+            out[:] = 0.0
+
+        monkeypatch.setattr(engine, "_null_grams", zero)
+        spec = NullSpectrum(method="true", eigenvalues=np.ones(5))
+        with pytest.raises(DegenerateDataError, match="total sum of squares is zero"):
+            simulate_null_cis(spec, n=6, config=make_config())
 
     def test_worker_count_does_not_change_results(self):
         lam = np.sort(np.random.default_rng(0).uniform(0.5, 5.0, 8))[::-1]
@@ -380,6 +393,17 @@ class TestRunTest:
         assert a.ci_observed == b.ci_observed
         assert a.p_empirical == b.p_empirical
         assert a.p_gaussian == b.p_gaussian
+
+    def test_two_observations_give_an_all_zero_null_without_simulating(self, monkeypatch):
+        # Every split of two observations has a zero index; round-off in a
+        # simulated null would put some null indices just above it.
+        monkeypatch.setattr(engine, "_simulate", lambda *a: pytest.fail("n=2 simulated"))
+        x = DataMatrix(np.random.default_rng(3).normal(size=(50, 2)))
+        config = make_config(n_sim=200, true_eigenvalues=np.ones(50))
+        for report in run_tests(x, config, engine.METHODS).values():
+            assert report.ci_observed == 0.0
+            np.testing.assert_array_equal(report.null_cis, np.zeros(200))
+            assert (report.p_empirical, report.p_gaussian) == (1.0, 0.5)
 
     def test_empirical_floor_when_observed_below_all(self):
         # Two far blobs: the observed index sits below every null index.

@@ -166,16 +166,16 @@ class TestRunGrid:
         import sigclust.harness as hmod
         from sigclust.errors import DegenerateNoiseError
 
-        real = hmod._run_tests
+        real = hmod._prelude
         calls = {"count": 0}
 
-        def flaky(x, config, methods, pool):
+        def flaky(x, config, methods):
             calls["count"] += 1
             if calls["count"] == 1:
                 raise DegenerateNoiseError("synthetic failure")
-            return real(x, config, methods, pool)
+            return real(x, config, methods)
 
-        monkeypatch.setattr(hmod, "_run_tests", flaky)
+        monkeypatch.setattr(hmod, "_prelude", flaky)
         spec = make_spec(d=6, n=8, reps=3)
         grid = run_grid([spec])
         cell = grid.cells[0]
@@ -184,13 +184,17 @@ class TestRunGrid:
         assert any("rep 0" in w for w in cell.warnings)
         assert cell.p5_count <= cell.p10_count <= 3
 
-    def test_report_warning_is_listed_once_per_cell(self):
+    def test_report_warning_is_listed_once_per_cell(self, monkeypatch):
+        # n = 2: every index is exactly 0, so the null is all zeros without
+        # simulating and every p-value is 1.
+        monkeypatch.setattr(engine, "_simulate", lambda *a: pytest.fail("n=2 simulated"))
         spec = make_spec(d=6, n=2, reps=2, methods=("sample", "hard"))
         grid = run_grid([spec])
         assert len(grid.cells) == 2
         for cell in grid.cells:
             assert [w.split(":")[0] for w in cell.warnings] == ["rep 0", "rep 1"]
             assert all("cannot reject" in w for w in cell.warnings)
+            assert cell.pvalues.tolist() == [1.0, 1.0]
 
     def test_true_method_uses_scenario_spectrum(self):
         spec = make_spec(d=10, n=12, v=3.0, w=1, reps=2, methods=("true",))
@@ -224,6 +228,128 @@ class TestSharedPool:
         for a, b in zip(serial.cells, parallel.cells):
             np.testing.assert_array_equal(a.pvalues, b.pvalues)
             assert a.warnings == b.warnings
+
+
+class TestSharedNull:
+    """Cells of one (d, n, n_sim, master_seed) group share each replication's
+    null pass, and every cell's results equal those of the cell run alone."""
+
+    @staticmethod
+    def specs():
+        return [
+            make_spec(d=30, n=10, v=9.0, w=1, reps=3, methods=("sample", "hard")),
+            make_spec(d=20, n=12, v=4.0, w=2, reps=2, methods=("combined",)),
+            # 15 eigenvalues above the floor at n = 10: a wide true arm
+            make_spec(d=30, n=10, v=4.0, w=15, reps=2, methods=("true", "soft", "combined")),
+            make_spec(d=30, n=10, reps=4, methods=("hard",)),
+            make_spec(d=20, n=12, v=25.0, w=1, reps=3, methods=engine.METHODS),
+            # the d = 30 shape again, in groups of their own
+            make_spec(d=30, n=10, reps=2, n_sim=150, methods=("hard",)),
+            make_spec(d=30, n=10, reps=2, master_seed=778, methods=("sample",)),
+        ]
+
+    @staticmethod
+    def assert_cells_equal(fused, alone):
+        assert len(fused) == len(alone)
+        for a, b in zip(fused, alone):
+            assert (a.spec, a.method) == (b.spec, b.method)
+            np.testing.assert_array_equal(a.pvalues, b.pvalues)
+            assert a.warnings == b.warnings
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fused_grid_equals_each_cell_alone(self, workers):
+        specs = self.specs()
+        alone = [c for spec in specs for c in run_grid([spec]).cells]
+        self.assert_cells_equal(run_grid(specs, workers=workers).cells, alone)
+        assert multiprocessing.active_children() == []
+
+    def test_repeated_spec_equals_the_spec_alone(self):
+        spec = self.specs()[0]
+        alone = run_grid([spec]).cells
+        self.assert_cells_equal(run_grid([spec, spec]).cells, alone + alone)
+
+    def test_failed_prelude_fails_only_its_own_cell(self, monkeypatch):
+        specs = self.specs()
+        alone = [run_grid([spec]).cells for spec in specs]
+        real = harness.generate_scenario_sample
+
+        def flaky(spec, rep):
+            if spec is specs[3] and rep == 1:
+                raise DegenerateNoiseError("synthetic failure")
+            return real(spec, rep)
+
+        monkeypatch.setattr(harness, "generate_scenario_sample", flaky)
+        cells = run_grid(specs).cells
+        [failed] = [c for c in cells if c.spec is specs[3]]
+        expected = alone[3][0].pvalues.copy()
+        expected[1] = np.nan
+        np.testing.assert_array_equal(failed.pvalues, expected)
+        assert failed.warnings == ("rep 1: synthetic failure",)
+        self.assert_cells_equal([c for c in cells if c.spec is not specs[3]],
+                                [c for i, a in enumerate(alone) if i != 3 for c in a])
+
+    def test_degenerate_null_fails_only_its_own_cell(self, monkeypatch):
+        # A zero Gram matrix for the last arm of each d=30 pass (specs[3]'s
+        # hard arm) stands in for a null with zero total sum of squares.
+        specs = self.specs()[:5]
+        alone = [run_grid([spec]).cells for spec in specs]
+        real = engine._null_grams
+
+        def zero_last(plan, n, rng, out):
+            real(plan, n, rng, out)
+            if plan[0] == 30:
+                out[-1] = 0.0
+
+        monkeypatch.setattr(engine, "_null_grams", zero_last)
+        cells = run_grid(specs).cells
+        [failed] = [c for c in cells if c.spec is specs[3]]
+        assert np.isnan(failed.pvalues).all()
+        assert failed.warnings == tuple(
+            f"rep {r}: total sum of squares is zero; no cluster structure" for r in range(4))
+        self.assert_cells_equal([c for c in cells if c.spec is not specs[3]],
+                                [c for i, a in enumerate(alone) if i != 3 for c in a])
+
+    def test_one_simulate_call_per_chunk_and_rep(self, monkeypatch):
+        calls = []
+        real = engine._simulate
+
+        def spy(spectra, n, config, pool=None):
+            calls.append((n, tuple(s.method for s in spectra)))
+            return real(spectra, n, config, pool)
+
+        monkeypatch.setattr(engine, "_simulate", spy)
+        # Four n = 10 Gram matrices (800 bytes each) fit, five do not.
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", 4 * 800)
+        run_grid(self.specs())
+        d30 = [("sample", "hard"), ("true", "soft", "hard"), ("hard",)]
+        d20 = [("hard", "soft"), ("true", "sample", "hard", "soft")]
+        assert calls == [
+            (10, d30[0]), (10, d30[0]), (10, d30[0]),  # specs[0] alone: the next does not fit
+            (10, d30[1] + d30[2]), (10, d30[1] + d30[2]), (10, d30[2]), (10, d30[2]),
+            (12, d20[0]), (12, d20[0]),  # 2 + 4 arms at n = 12 exceed the budget
+            (12, d20[1]), (12, d20[1]), (12, d20[1]),  # a chunk of one cell may
+            (10, ("hard",)), (10, ("hard",)), (10, ("sample",)), (10, ("sample",)),
+        ]
+        for n, arms in calls:
+            assert len(arms) * 8 * n * n <= engine._BLOCK_BYTES or arms in d30 + d20
+
+    def test_calibration_grid_draws_each_replication_once(self, tmp_path, monkeypatch):
+        # The benchmark's grid-calib-w2 scenario: three cells of one shape,
+        # four arms each, 100 null replications.
+        shapes = []
+        real = engine._null_grams
+
+        def spy(plan, n, rng, out):
+            shapes.append(out.shape)
+            return real(plan, n, rng, out)
+
+        monkeypatch.setattr(engine, "_null_grams", spy)
+        path = tmp_path / "scenario.csv"
+        path.write_text("v,w,d,n,a,mode,reps,n_sim\n1000,1,1000,100,0,none,1,100\n"
+                        "40,25,1000,100,0,none,1,100\n1,1,1000,100,0,none,1,100\n")
+        grid = run_grid(load_scenario_file(path, master_seed=11))
+        assert shapes == [(12, 100, 100)] * 100
+        assert not any(np.isnan(c.pvalues).any() for c in grid.cells)
 
 
 class TestPowerCurve:
@@ -334,7 +460,7 @@ class TestSummaries:
         def fail(*args):
             raise DegenerateNoiseError("synthetic failure")
 
-        monkeypatch.setattr(harness, "_run_tests", fail)
+        monkeypatch.setattr(harness, "_prelude", fail)
         grid = run_grid([make_spec(d=6, n=8, reps=2)])
         cell = grid.cells[0]
         with warnings.catch_warnings():
