@@ -19,7 +19,8 @@ on a stack of Gram matrices (one per null replication and arm, or the
 observed statistic's one). Each restart still moving is one row, and a
 sweep multiplies each element's rows by its G in one product; a restart
 leaves in the sweep that stops it, scored from that sweep's terms. The
-observed statistic and the null replications share this one kernel.
+observed statistic (float64) and the null replications (float32) share
+this one kernel, which runs in the dtype of the Gram matrices it is given.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def _centroid_terms(grams: np.ndarray, rowsums: np.ndarray, elem: np.ndarray, in
     distance from the origin, so t is used as computed and the terms hold
     for the G at hand.
     """
-    mask = in2.astype(np.float64)
+    mask = in2.astype(grams.dtype)
     s = _products(grams, elem, mask)
     n2 = mask.sum(axis=1, keepdims=True)
     n1 = in2.shape[1] - n2
@@ -179,7 +180,9 @@ def _lloyd(grams: np.ndarray, first: np.ndarray, second: np.ndarray):
     leaves in the sweep that finds its labels unchanged, scored from that
     sweep's terms by the centroid identity ``wss = tr G - n1 w1ᵀG w1 -
     n2 w2ᵀG w2``; one still moving after ``MAX_LLOYD_ITER`` sweeps is
-    refilled and scored in one more.
+    refilled and scored in one more. The sweeps run in the Gram matrices'
+    dtype (float32 in the null, float64 for the observed statistic); the
+    trace and wss are float64.
     """
     m, r = first.shape
     n = grams.shape[1]
@@ -191,7 +194,7 @@ def _lloyd(grams: np.ndarray, first: np.ndarray, second: np.ndarray):
          - 0.5 * (diag[elem, first] - diag[elem, second])[:, :, None])
     cur = (g < 0.0).reshape(m * r, n)
     in2, wss = np.empty((m, r, n), dtype=bool), np.empty((m, r))
-    rowsums, trace = grams.sum(axis=2), np.trace(grams, axis1=1, axis2=2)
+    rowsums, trace = grams.sum(axis=2), np.trace(grams, axis1=1, axis2=2, dtype=np.float64)
     elem, restart = np.divmod(np.arange(m * r), r)
     for sweep in range(MAX_LLOYD_ITER + 1):  # the last one only scores
         _refill_empty(cur, far[elem])
@@ -229,16 +232,18 @@ def two_means_ci(x: DataMatrix, restarts: int = 20, seed=None) -> ClusterSplit:
     emptied cluster is refilled with the point farthest from the surviving
     centroid. The sweeps run in kernel form on the n-by-n Gram matrix of
     the centered observations, in the null's kernel with this matrix as its
-    only element; the winning split is then scored directly from the data by
-    :func:`cluster_index_for_labels`, which raises on degenerate data. The
-    returned index is an upper bound on the global optimum and is
-    deterministic given the seed.
+    only element, in float64; the winning split is then scored directly
+    from the data by :func:`cluster_index_for_labels`, which raises on
+    degenerate data. The clusters are named canonically: cluster 1 holds
+    the first observation, so restarts that reach one partition with the
+    names swapped give the same labels. The returned index is an upper
+    bound on the global optimum and is deterministic given the seed.
     """
     if restarts < 1:
         raise InvalidConfigError("restarts must be >= 1")
     first, second = _start_pairs(x.n, restarts, as_generator(seed))
     in2, _ = _best_splits(_gram(x.values)[None], first[None], second[None])
-    return cluster_index_for_labels(x, np.where(in2[0], 2, 1))
+    return cluster_index_for_labels(x, np.where(in2[0] != in2[0, 0], 2, 1))
 
 
 def theoretical_ci(eigenvalues) -> float:

@@ -26,6 +26,14 @@ element's still-moving restarts by its Gram matrix in one product.
 Its size comes from a byte budget of Gram matrices (``_BLOCK_BYTES``),
 never from the worker count, and no element's result depends on the rest
 of its block.
+
+The null runs in float32: each arm's spectrum is scaled to a mean
+eigenvalue of 1, which leaves the index's law unchanged and keeps every
+Gram entry far inside float32's range, and the Gram matrices and the
+Lloyd kernel are float32, with tss summed in float64. Under a Gaussian
+null the index is O(1) (its population value is at least 1 - 2/π), so
+float32 round-off, a few 1e-7 of tss, is far below the null's own
+spread. The observed statistic stays float64.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -62,11 +70,13 @@ DEFAULT_N_SIM = 1000
 MIN_N_SIM = 100
 DEFAULT_RESTARTS_NULL = 20
 DEFAULT_RESTARTS_OBSERVED = 100
-# Gram matrices per block. Medians of 11 in-process CLI runs at 1, 2 and
-# 4 MiB (2-core x86-64, one OpenBLAS thread): test-combined-d1k 0.368,
-# 0.327, 0.370 s; grid-calib-w2 0.506, 0.499, 0.563 s; test-hard-d20k
-# 1.274, 1.253, 1.310 s.
+# Gram matrices per block. Medians of 15 in-process CLI runs at 1, 2 and
+# 4 MiB of float32 Gram matrices (2-core x86-64, one OpenBLAS thread):
+# test-combined-d1k 0.188, 0.180, 0.193 s; grid-calib-w2 0.229, 0.223,
+# 0.227 s; test-hard-d20k 1.026, 1.025, 1.061 s.
 _BLOCK_BYTES = 2 << 20
+# dtype of the null's Gram matrices, and so of its Lloyd kernel.
+_NULL_DTYPE = np.dtype(np.float32)
 _BLOCK_REPS = 64  # bounds the block's restart arrays when n is small
 
 
@@ -206,8 +216,11 @@ def _compact_plan(spectra, n):
 
 
 @lru_cache(maxsize=8)
-def _upper(n):
-    return np.triu_indices(n, 1)
+def _triangle(n):
+    """Flat indices into an n-by-n matrix: the strict upper triangle in row
+    order, and the diagonal."""
+    i, j = np.triu_indices(n, 1)
+    return i * n + j, np.arange(0, n * n, n + 1)
 
 
 def _bulk_factor(rng, m, n):
@@ -216,14 +229,16 @@ def _bulk_factor(rng, m, n):
     sqrt(chi2(m - i)) at diagonal entry i)."""
     if m <= n:
         return rng.standard_normal((m, n))
-    b = np.zeros((n, n))
-    b[_upper(n)] = rng.standard_normal(n * (n - 1) // 2)
-    b[np.diag_indices(n)] = np.sqrt(rng.chisquare(m - np.arange(n)))
-    return b
+    upper, diag = _triangle(n)
+    b = np.zeros(n * n)
+    b[upper] = rng.standard_normal(upper.size)
+    b[diag] = np.sqrt(rng.chisquare(m - np.arange(n)))
+    return b.reshape(n, n)
 
 
-def _centred(rows):
-    return rows - rows.mean(axis=1, keepdims=True)
+def _centred(rows, dtype):
+    """``rows`` less their row means (in float64), cast to ``dtype``."""
+    return (rows - rows.mean(axis=1, keepdims=True)).astype(dtype, copy=False)
 
 
 def _null_grams(plan, n, rng, out):
@@ -235,22 +250,27 @@ def _null_grams(plan, n, rng, out):
     so one with a zero floor (the sample spectrum) keeps only its leading
     rows. A wide arm draws its rows past K and its own bulk from the stream
     as it stands after the shared draws, the same point for every wide arm.
-    Continuous draws have no exact duplicate columns, so, unlike the
-    observed statistic's ``_gram``, no duplicate guard runs.
+    The draws and the centring are float64; the centred rows, h and the
+    products are in ``out``'s dtype (float32 in the null, on unit-mean
+    spectra; a float64 ``out`` keeps every step float64). Continuous draws
+    have no exact duplicate columns, so, unlike the observed statistic's
+    ``_gram``, no duplicate guard runs.
     """
     d, k, heads, floors = plan
-    zc = _centred(rng.standard_normal((k, n)))
-    bulk = _centred(_bulk_factor(rng, d - k, n))
+    dtype = out.dtype
+    zc = _centred(rng.standard_normal((k, n)), dtype)
+    bulk = _centred(_bulk_factor(rng, d - k, n), dtype)
     # Building the state dict costs about 10 µs: only wide arms need it.
     shared_end = rng.bit_generator.state if any(h.size > k for h in heads) else None
     bulk_gram = bulk.T @ bulk
     for e, (head, floor) in enumerate(zip(heads, floors)):
+        head = head.astype(dtype, copy=False)
         rows, own_gram = head[:k, None] * zc, bulk_gram
         if head.size > k:
             rng.bit_generator.state = shared_end
-            extra = _centred(rng.standard_normal((head.size - k, n)))
+            extra = _centred(rng.standard_normal((head.size - k, n)), dtype)
             rows = np.vstack([rows, head[k:, None] * extra])
-            own = _centred(_bulk_factor(rng, d - head.size, n))
+            own = _centred(_bulk_factor(rng, d - head.size, n), dtype)
             own_gram = own.T @ own
         out[e] = rows.T @ rows + floor * own_gram
 
@@ -258,30 +278,38 @@ def _null_grams(plan, n, rng, out):
 def _block_cis(plan, n, master_seed, restarts, reps):
     """Null indices (len(reps), arms) of the replications ``reps``.
 
-    Each replication draws its Gram matrices and one set of start pairs
-    from its own two streams; every arm reuses the start pairs, and the
-    2-means of every (replication, arm) element runs in one stacked kernel.
+    Each replication draws its Gram matrices (``_NULL_DTYPE``) and one set
+    of start pairs from its own two streams; every arm reuses the start
+    pairs, and the 2-means of every (replication, arm) element runs in one
+    stacked kernel. tss is summed in float64.
     An element whose Gram matrix has a zero trace (a zero total sum of
     squares) gets NaN, so that it fails only the run it belongs to.
     """
     arms = len(plan[2])
-    grams = np.empty((len(reps) * arms, n, n))
+    grams = np.empty((len(reps) * arms, n, n), dtype=_NULL_DTYPE)
     starts = np.empty((2, len(reps) * arms, restarts), dtype=np.intp)
     for b, rep in enumerate(reps):
         gauss_seq, km_seq = (stream(master_seed, NULL_REP, rep, k) for k in (0, 1))
         elems = slice(b * arms, (b + 1) * arms)
         starts[:, elems] = np.stack(_start_pairs(n, restarts, as_generator(km_seq)))[:, None]
         _null_grams(plan, n, as_generator(gauss_seq), grams[elems])
-    tss = np.trace(grams, axis1=1, axis2=2)
+    tss = np.trace(grams, axis1=1, axis2=2, dtype=np.float64)
     _, wss = _best_splits(grams, *starts)
     cis = np.divide(wss, tss, out=np.full_like(wss, np.nan), where=tss > 0.0)
     return cis.reshape(len(reps), arms)
 
 
+def _gram_bytes(n, arms):
+    """Bytes of one replication's null Gram matrices: ``arms`` n-by-n
+    matrices of ``_NULL_DTYPE``."""
+    return arms * n * n * _NULL_DTYPE.itemsize
+
+
 def _block_size(n, arms):
-    """Replications per block: about ``_BLOCK_BYTES`` of Gram matrices, at
-    most ``_BLOCK_REPS``; independent of the worker count."""
-    return max(1, min(_BLOCK_REPS, _BLOCK_BYTES // (8 * n * n * arms)))
+    """Replications per block: about ``_BLOCK_BYTES`` of float32 Gram
+    matrices (``_gram_bytes``), at most ``_BLOCK_REPS``; independent of the
+    worker count."""
+    return max(1, min(_BLOCK_REPS, _BLOCK_BYTES // _gram_bytes(n, arms)))
 
 
 def _pool(workers):
@@ -289,11 +317,20 @@ def _pool(workers):
     return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
 
 
+def _unit_mean(spectrum):
+    """``spectrum`` scaled to a mean eigenvalue of 1. The cluster index does
+    not change with scale, so neither does its null law, and float32 Gram
+    matrices of a unit-mean spectrum can neither overflow nor underflow."""
+    lam = spectrum.eigenvalues / spectrum.eigenvalues[0]  # the top: no overflow
+    return replace(spectrum, eigenvalues=lam / lam.mean())
+
+
 def _simulate(spectra, n, config, pool=None):
-    """Null indices of every arm in ``spectra``, from one shared pass.
-    Blocks map on the caller's ``pool`` (``run_tests`` opens one per call,
-    ``harness.run_grid`` one per grid), or run serially when it is None."""
-    plan = _compact_plan(spectra, n)
+    """Null indices of every arm in ``spectra``, from one shared pass, each
+    arm scaled to a mean eigenvalue of 1. Blocks map on the caller's
+    ``pool`` (``run_tests`` opens one per call, ``harness.run_grid`` one per
+    grid), or run serially when it is None."""
+    plan = _compact_plan([_unit_mean(s) for s in spectra], n)
     size = _block_size(n, len(spectra))
     blocks = [range(s, min(s + size, config.n_sim)) for s in range(0, config.n_sim, size)]
     one_block = partial(_block_cis, plan, n, config.master_seed, config.restarts_null)
@@ -311,7 +348,8 @@ def simulate_null_cis(spectrum: NullSpectrum, n: int, config: TestConfig) -> np.
     K = min(d, n) leading rows sqrt(lambda_j) * z_j of the null data and a
     factor of the d - K flat rows with the same Gram law (a Bartlett
     triangle when d - K > n), and runs seeded 2-means with
-    ``restarts_null`` restarts on the centred Gram matrix of the two.
+    ``restarts_null`` restarts on the centred Gram matrix of the two, in
+    float32 on the spectrum scaled to a mean eigenvalue of 1.
     Replications run in blocks sized from a byte budget of Gram matrices
     that does not depend on the worker count, each Lloyd sweep one product
     per element of a block, on a pool of ``config.workers`` processes

@@ -246,7 +246,7 @@ def _chunks(specs):
 
     Cells sharing (d, n, n_sim, master_seed) form a group, in file order,
     and each group is cut into runs of consecutive cells whose Gram
-    matrices for one replication (arms x 8n² bytes) fit the engine's
+    matrices for one replication (``engine._gram_bytes``) fit the engine's
     ``_BLOCK_BYTES``, with at least one cell per chunk, so memory does not
     grow with the grid.
     """
@@ -257,7 +257,7 @@ def _chunks(specs):
         chunk, size = [], 0
         for i in members:
             spec = specs[i]
-            gram_bytes = len(_arms(spec.methods)) * 8 * spec.n * spec.n
+            gram_bytes = engine._gram_bytes(spec.n, len(_arms(spec.methods)))
             if chunk and size + gram_bytes > engine._BLOCK_BYTES:
                 yield chunk
                 chunk, size = [], 0

@@ -114,6 +114,19 @@ class TestTwoMeans:
         with pytest.raises(InvalidConfigError, match="restarts must be >= 1"):
             two_means_ci(one_d([0.0, 1.0, 5.0]), restarts=0, seed=0)
 
+    def test_mirrored_restarts_give_canonical_names(self, monkeypatch):
+        # Two restarts start at the same pair in opposite order, so they
+        # reach one partition with the names swapped and, on these exact
+        # binary values, the same wss. Whichever runs first, cluster 1 is
+        # the one holding the first observation.
+        x = one_d([0.0, 4.0, 1.0, 5.0])
+        for first in ([1, 0], [0, 1]):
+            pairs = (np.array(first), np.array(first[::-1]))
+            monkeypatch.setattr(cluster, "_start_pairs", lambda n, restarts, rng: pairs)
+            split = two_means_ci(x, restarts=2, seed=0)
+            np.testing.assert_array_equal(split.labels, [1, 2, 1, 2])
+            assert split.wss == 1.0
+
     def test_both_clusters_nonempty(self):
         # Duplicated columns make ties common; the split must stay binary.
         x = DataMatrix(np.array([[1.0, 1.0, 1.0, 5.0]]))
@@ -187,7 +200,8 @@ class TestBatchedKernelAgainstReference:
         assert split.ci == pytest.approx(ref_wss / tss, abs=1e-12)
         wss = np.array([w for _, w in ref_runs])
         if np.sum(wss <= ref_wss + 1e-12 * tss) == 1:  # the best wss is unique
-            assert _same_split(split.labels, ref_labels, mirror_ok)
+            # the same partition, with the first observation's cluster named 1
+            assert np.array_equal(split.labels, np.where(ref_labels == ref_labels[0], 1, 2))
 
     def test_centroid_terms_match_explicit_weights(self):
         # Gram matrices of uncentred data: their row sums are far from zero,
@@ -303,6 +317,42 @@ class TestBatchedKernelAgainstReference:
         np.testing.assert_array_equal(got[0], i)
         np.testing.assert_array_equal(got[1], j + (j >= i))
         assert scalar.integers(2**40) == batched.integers(2**40)  # same stream position
+
+    @seed(20261019)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(3, 40),
+        restarts=st.integers(1, 20),
+        shapes=st.lists(
+            st.tuples(st.integers(1, 300), st.integers(0, 3), st.integers(0, 2**32 - 1)),
+            min_size=1, max_size=5,
+        ),
+    )
+    @example(n=3, restarts=1, shapes=[(1, 0, 0)])
+    @example(n=40, restarts=20, shapes=[(300, 3, s) for s in range(5)])
+    def test_float32_kernel_matches_float64(self, n, restarts, shapes):
+        # The null runs the kernel on float32 Gram matrices; the float64
+        # kernel, which the observed statistic runs, is its reference. On
+        # Gaussian Gram matrices with up to three spikes over a unit floor,
+        # every element's best index agrees to 1e-5 relative. Float32 puts
+        # an absolute error of a few 1e-7 on wss / tss, so an index near 0,
+        # which tiny shapes draw (d = 1, n = 3), agrees to 1e-6 absolute.
+        grams, firsts, seconds = [], [], []
+        for d, spikes, data_seed in shapes:
+            rng = np.random.default_rng(data_seed)
+            lam = np.ones(d)
+            lam[:min(spikes, d)] = rng.uniform(1.5, 30.0, min(spikes, d))
+            grams.append(cluster._gram(np.sqrt(lam)[:, None] * rng.standard_normal((d, n))))
+            i, j = cluster._start_pairs(n, restarts, rng)
+            firsts.append(i)
+            seconds.append(j)
+        grams, firsts, seconds = np.array(grams), np.array(firsts), np.array(seconds)
+        single = grams.astype(np.float32)
+        _, wss = cluster._best_splits(grams, firsts, seconds)
+        _, wss32 = cluster._best_splits(single, firsts, seconds)
+        index = wss / np.trace(grams, axis1=1, axis2=2)
+        index32 = wss32 / np.trace(single, axis1=1, axis2=2, dtype=np.float64)
+        np.testing.assert_allclose(index32, index, rtol=1e-5, atol=1e-6)
 
     def test_emptied_cluster_is_refilled(self):
         # Starting at two copies of one column ties every point, so all go

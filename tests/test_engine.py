@@ -96,9 +96,9 @@ class TestSimulateNullCis:
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("restarts,digest", [
-        pytest.param(20, "2c13bb86ceeca30f4b8ba23e2abf82e107bec4cec56abd521654a5757f48f5c7",
+        pytest.param(20, "7ef9d324d3e0ac6bc09ff1d5fcaffa6a331cb3a4df3fc39d7236d4f50c5421ac",
                      id="restarts20"),
-        pytest.param(1, "94cf1d01e844c92c1fb4cb94cf97bffd75f41750de00f17e3ecf8602d726bb6c",
+        pytest.param(1, "422c630bf46f802a525d5c7f43cec893b61b4144bec9dec404d816224d780eb2",
                      id="restarts1"),
     ])
     def test_null_stream_pin(self, restarts, digest):
@@ -110,6 +110,20 @@ class TestSimulateNullCis:
         config = TestConfig(n_sim=100, master_seed=20240607, restarts_null=restarts)
         cis = simulate_null_cis(spec, n=9, config=config)
         assert hashlib.sha256(cis.tobytes()).hexdigest() == digest
+
+    def test_spectrum_scale_does_not_move_the_null(self):
+        # Each arm runs in float32 on its spectrum scaled to a mean
+        # eigenvalue of 1, so spectra whose Gram matrices would overflow or
+        # underflow float32 give the same finite indices as the original.
+        lam = np.r_[30.0, 8.0, 2.0, np.full(57, 0.5)]
+        scales = (1.0, 1e-30, 1e30, 1e-150, 1e150)
+        arms = [NullSpectrum(method="true", eigenvalues=lam * s) for s in scales]
+        config = make_config()
+        base, *scaled = engine._simulate(arms, 15, config)
+        for arm, cis in zip(arms[1:], scaled):
+            assert np.isfinite(cis).all()
+            np.testing.assert_allclose(cis, base, rtol=1e-6, atol=0.0)
+            np.testing.assert_array_equal(simulate_null_cis(arm, 15, config), cis)
 
     def test_zero_total_sum_of_squares_raises(self, monkeypatch):
         real = engine._null_grams

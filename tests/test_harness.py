@@ -318,8 +318,8 @@ class TestSharedNull:
             return real(spectra, n, config, pool)
 
         monkeypatch.setattr(engine, "_simulate", spy)
-        # Four n = 10 Gram matrices (800 bytes each) fit, five do not.
-        monkeypatch.setattr(engine, "_BLOCK_BYTES", 4 * 800)
+        # Four n = 10 Gram matrices fit, five do not.
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", engine._gram_bytes(10, 4))
         run_grid(self.specs())
         d30 = [("sample", "hard"), ("true", "soft", "hard"), ("hard",)]
         d20 = [("hard", "soft"), ("true", "sample", "hard", "soft")]
@@ -331,7 +331,7 @@ class TestSharedNull:
             (10, ("hard",)), (10, ("hard",)), (10, ("sample",)), (10, ("sample",)),
         ]
         for n, arms in calls:
-            assert len(arms) * 8 * n * n <= engine._BLOCK_BYTES or arms in d30 + d20
+            assert engine._gram_bytes(n, len(arms)) <= engine._BLOCK_BYTES or arms in d30 + d20
 
     def test_calibration_grid_draws_each_replication_once(self, tmp_path, monkeypatch):
         # The benchmark's grid-calib-w2 scenario: three cells of one shape,
