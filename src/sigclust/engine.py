@@ -13,11 +13,13 @@ once; each arm's centred Gram matrix is then (h∘Zc)ᵀ(h∘Zc) + floor·BcᵀB
 with h the square roots of its leading eigenvalues and floor its flat
 eigenvalue (a spectrum with more than n eigenvalues above its floor
 draws its own rows past K and its own bulk). Every replication draws
-from a stream derived deterministically from (master_seed, replication
-index), so an arm's results are bit-identical for any worker count and
-whichever other arms are simulated alongside, and all arms simulated in
-one run (the combined method's hard and soft arms among them) share both
-the Gaussian draw and the k-means seeding within each replication.
+from one SFC64 stream derived deterministically from (master_seed,
+replication index), in a fixed order: the k-means start pairs, Z, the
+bulk factor, then each wide arm's own rows from the state after those
+shared draws. So an arm's results are bit-identical for any worker count
+and whichever other arms are simulated alongside, and all arms simulated
+in one run (the combined method's hard and soft arms among them) share
+both the Gaussian draw and the k-means seeding within each replication.
 
 Replications run in blocks, mapped on a worker pool when one is open. A
 block stacks the Gram matrices of all its (replication, arm) elements
@@ -29,11 +31,11 @@ of its block.
 
 The null runs in float32: each arm's spectrum is scaled to a mean
 eigenvalue of 1, which leaves the index's law unchanged and keeps every
-Gram entry far inside float32's range, and the Gram matrices and the
-Lloyd kernel are float32, with tss summed in float64. Under a Gaussian
-null the index is O(1) (its population value is at least 1 - 2/π), so
-float32 round-off, a few 1e-7 of tss, is far below the null's own
-spread. The observed statistic stays float64.
+Gram entry far inside float32's range, and the normals, the Gram
+matrices and the Lloyd kernel are float32, with tss summed in float64.
+Under a Gaussian null the index is O(1) (its population value is at
+least 1 - 2/π), so float32 round-off, a few 1e-7 of tss, is far below
+the null's own spread. The observed statistic stays float64.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from ._streams import NULL_REP, OBSERVED, as_generator, seed_int, stream
+from ._streams import OBSERVED, null_generator, seed_int, stream
 from .cluster import _best_splits, _start_pairs, cluster_index_for_labels, two_means_ci
 from .errors import (
     DegenerateDataError,
@@ -223,22 +225,23 @@ def _triangle(n):
     return i * n + j, np.arange(0, n * n, n + 1)
 
 
-def _bulk_factor(rng, m, n):
-    """B with BᵀB ~ Wishart_n(m, I): m dense normal rows when m <= n, else
-    the n-by-n upper Bartlett triangle (normals above the diagonal,
-    sqrt(chi2(m - i)) at diagonal entry i)."""
+def _bulk_factor(rng, m, n, dtype=np.float64):
+    """B (``dtype``) with BᵀB ~ Wishart_n(m, I): m dense normal rows when
+    m <= n, else the n-by-n upper Bartlett triangle (normals above the
+    diagonal, sqrt(chi2(m - i)) at diagonal entry i). The normals are
+    drawn in ``dtype``, the chi-square draws in float64."""
     if m <= n:
-        return rng.standard_normal((m, n))
+        return rng.standard_normal((m, n), dtype=dtype)
     upper, diag = _triangle(n)
-    b = np.zeros(n * n)
-    b[upper] = rng.standard_normal(upper.size)
+    b = np.zeros(n * n, dtype=dtype)
+    b[upper] = rng.standard_normal(upper.size, dtype=dtype)
     b[diag] = np.sqrt(rng.chisquare(m - np.arange(n)))
     return b.reshape(n, n)
 
 
-def _centred(rows, dtype):
-    """``rows`` less their row means (in float64), cast to ``dtype``."""
-    return (rows - rows.mean(axis=1, keepdims=True)).astype(dtype, copy=False)
+def _centred(rows):
+    """``rows`` less their row means, in ``rows``' dtype."""
+    return rows - rows.mean(axis=1, keepdims=True)
 
 
 def _null_grams(plan, n, rng, out):
@@ -250,16 +253,16 @@ def _null_grams(plan, n, rng, out):
     so one with a zero floor (the sample spectrum) keeps only its leading
     rows. A wide arm draws its rows past K and its own bulk from the stream
     as it stands after the shared draws, the same point for every wide arm.
-    The draws and the centring are float64; the centred rows, h and the
-    products are in ``out``'s dtype (float32 in the null, on unit-mean
-    spectra; a float64 ``out`` keeps every step float64). Continuous draws
+    The normals, the centring, h and the products are in ``out``'s dtype
+    (float32 in the null, on unit-mean spectra), the chi-square draws in
+    float64; a float64 ``out`` keeps every step float64. Continuous draws
     have no exact duplicate columns, so, unlike the observed statistic's
     ``_gram``, no duplicate guard runs.
     """
     d, k, heads, floors = plan
     dtype = out.dtype
-    zc = _centred(rng.standard_normal((k, n)), dtype)
-    bulk = _centred(_bulk_factor(rng, d - k, n), dtype)
+    zc = _centred(rng.standard_normal((k, n), dtype=dtype))
+    bulk = _centred(_bulk_factor(rng, d - k, n, dtype))
     # Building the state dict costs about 10 µs: only wide arms need it.
     shared_end = rng.bit_generator.state if any(h.size > k for h in heads) else None
     bulk_gram = bulk.T @ bulk
@@ -268,9 +271,9 @@ def _null_grams(plan, n, rng, out):
         rows, own_gram = head[:k, None] * zc, bulk_gram
         if head.size > k:
             rng.bit_generator.state = shared_end
-            extra = _centred(rng.standard_normal((head.size - k, n)), dtype)
+            extra = _centred(rng.standard_normal((head.size - k, n), dtype=dtype))
             rows = np.vstack([rows, head[k:, None] * extra])
-            own = _centred(_bulk_factor(rng, d - head.size, n), dtype)
+            own = _centred(_bulk_factor(rng, d - head.size, n, dtype))
             own_gram = own.T @ own
         out[e] = rows.T @ rows + floor * own_gram
 
@@ -278,10 +281,10 @@ def _null_grams(plan, n, rng, out):
 def _block_cis(plan, n, master_seed, restarts, reps):
     """Null indices (len(reps), arms) of the replications ``reps``.
 
-    Each replication draws its Gram matrices (``_NULL_DTYPE``) and one set
-    of start pairs from its own two streams; every arm reuses the start
-    pairs, and the 2-means of every (replication, arm) element runs in one
-    stacked kernel. tss is summed in float64.
+    Each replication draws one set of start pairs, then its Gram matrices
+    (``_NULL_DTYPE``), from its own generator (``null_generator``); every
+    arm reuses the start pairs, and the 2-means of every (replication,
+    arm) element runs in one stacked kernel. tss is summed in float64.
     An element whose Gram matrix has a zero trace (a zero total sum of
     squares) gets NaN, so that it fails only the run it belongs to.
     """
@@ -289,10 +292,10 @@ def _block_cis(plan, n, master_seed, restarts, reps):
     grams = np.empty((len(reps) * arms, n, n), dtype=_NULL_DTYPE)
     starts = np.empty((2, len(reps) * arms, restarts), dtype=np.intp)
     for b, rep in enumerate(reps):
-        gauss_seq, km_seq = (stream(master_seed, NULL_REP, rep, k) for k in (0, 1))
+        rng = null_generator(master_seed, rep)
         elems = slice(b * arms, (b + 1) * arms)
-        starts[:, elems] = np.stack(_start_pairs(n, restarts, as_generator(km_seq)))[:, None]
-        _null_grams(plan, n, as_generator(gauss_seq), grams[elems])
+        starts[:, elems] = np.stack(_start_pairs(n, restarts, rng))[:, None]
+        _null_grams(plan, n, rng, grams[elems])
     tss = np.trace(grams, axis1=1, axis2=2, dtype=np.float64)
     _, wss = _best_splits(grams, *starts)
     cis = np.divide(wss, tss, out=np.full_like(wss, np.nan), where=tss > 0.0)
@@ -344,12 +347,13 @@ def _simulate(spectra, n, config, pool=None):
 def simulate_null_cis(spectrum: NullSpectrum, n: int, config: TestConfig) -> np.ndarray:
     """Cluster indices of ``n_sim`` simulated null data sets.
 
-    Replication r draws, from the stream keyed by (master_seed, r), the
-    K = min(d, n) leading rows sqrt(lambda_j) * z_j of the null data and a
-    factor of the d - K flat rows with the same Gram law (a Bartlett
-    triangle when d - K > n), and runs seeded 2-means with
-    ``restarts_null`` restarts on the centred Gram matrix of the two, in
-    float32 on the spectrum scaled to a mean eigenvalue of 1.
+    Replication r draws, from one SFC64 stream keyed by (master_seed, r),
+    the k-means start pairs, then the K = min(d, n) leading rows
+    sqrt(lambda_j) * z_j of the null data and a factor of the d - K flat
+    rows with the same Gram law (a Bartlett triangle when d - K > n), and
+    runs seeded 2-means with ``restarts_null`` restarts on the centred
+    Gram matrix of the two, in float32 on the spectrum scaled to a mean
+    eigenvalue of 1.
     Replications run in blocks sized from a byte budget of Gram matrices
     that does not depend on the worker count, each Lloyd sweep one product
     per element of a block, on a pool of ``config.workers`` processes

@@ -5,8 +5,10 @@ full dimension d. Hard thresholding floors every eigenvalue at the
 background noise variance, leaving large eigenvalues untouched. Soft
 thresholding additionally subtracts a constant offset tau from the
 eigenvalues that stay above the floor, with tau solved exactly so that the
-estimated spectrum keeps the sample trace, which is the unbiased estimate
-of the total variation.
+estimated spectrum keeps the sample trace. With the 1/n normalizer that
+trace is not unbiased: its expectation is (n - 1)/n · tr Σ, while the MAD
+noise variance estimates σ² itself (ROADMAP item 1 puts the two on one
+scale).
 """
 
 from __future__ import annotations
@@ -155,8 +157,9 @@ def soft_threshold(spec: EigenSpectrum, noise: NoiseEstimate) -> NullSpectrum:
 def flat_fallback_spectrum(spec: EigenSpectrum, noise: NoiseEstimate) -> NullSpectrum:
     """Trace-preserving flat spectrum used when no soft offset exists.
 
-    All d eigenvalues are set to trace/d, which keeps the total variation
-    unbiased, the quantity that drives the test statistic's denominator.
+    All d eigenvalues are set to trace/d, which keeps the sample trace, the
+    quantity that drives the test statistic's denominator. Its expectation
+    is (n - 1)/n · tr Σ (1/n normalizer; see ROADMAP item 1).
     """
     lam = np.full(spec.d, spec.trace / spec.d)
     return NullSpectrum(

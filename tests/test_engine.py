@@ -22,6 +22,8 @@ from sigclust import (
     run_tests,
     simulate_null_cis,
 )
+from sigclust._streams import NULL_REP, as_generator, null_generator, stream
+from sigclust.cluster import _best_splits, _start_pairs
 
 
 def make_config(**kwargs):
@@ -96,9 +98,9 @@ class TestSimulateNullCis:
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("restarts,digest", [
-        pytest.param(20, "7ef9d324d3e0ac6bc09ff1d5fcaffa6a331cb3a4df3fc39d7236d4f50c5421ac",
+        pytest.param(20, "9577c57cde459c69e56e9477463e2ec25e5257ea588e308a9699e71623521bed",
                      id="restarts20"),
-        pytest.param(1, "422c630bf46f802a525d5c7f43cec893b61b4144bec9dec404d816224d780eb2",
+        pytest.param(1, "bf0aaf6d1b1ff277ee99371a0716e3cda0b41b338d24bfc953663843d498bce9",
                      id="restarts1"),
     ])
     def test_null_stream_pin(self, restarts, digest):
@@ -110,6 +112,65 @@ class TestSimulateNullCis:
         config = TestConfig(n_sim=100, master_seed=20240607, restarts_null=restarts)
         cis = simulate_null_cis(spec, n=9, config=config)
         assert hashlib.sha256(cis.tobytes()).hexdigest() == digest
+
+    def test_replication_draws_start_pairs_then_grams_from_one_stream(self, monkeypatch):
+        # Replication r draws everything from null_generator(master_seed, r):
+        # its start pairs first, then every arm's Gram matrix (a wide arm's
+        # own rows included), shared by the arms of the replication.
+        seen = []
+
+        def spy(grams, first, second):
+            seen.append((grams.copy(), first.copy(), second.copy()))
+            return _best_splits(grams, first, second)
+
+        monkeypatch.setattr(engine, "_best_splits", spy)
+        n, restarts = 10, 7
+        spectra = (NullSpectrum(method="hard", eigenvalues=_spiked(40, [9.0, 4.0]),
+                                sigma_n_sq=1.0),
+                   NullSpectrum(method="true", eigenvalues=np.linspace(12.0, 0.5, 40)))
+        config = make_config(restarts_null=restarts)
+        engine._simulate(spectra, n, config)
+        grams, first, second = (np.concatenate(a) for a in zip(*seen))
+        plan = engine._compact_plan([engine._unit_mean(s) for s in spectra], n)
+        out = np.empty((2, n, n), dtype=np.float32)
+        for r in range(config.n_sim):
+            rng = null_generator(config.master_seed, r)
+            i, j = _start_pairs(n, restarts, rng)
+            engine._null_grams(plan, n, rng, out)
+            elems = slice(2 * r, 2 * r + 2)
+            np.testing.assert_array_equal(first[elems], [i, i])
+            np.testing.assert_array_equal(second[elems], [j, j])
+            np.testing.assert_array_equal(grams[elems], out)
+
+    def test_ks_against_float64_philox_reference(self):
+        # The engine's null (SFC64 streams, float32 Gram matrices and
+        # kernel) against the float64 reference on Philox streams of
+        # another master seed: the stacked-factor Gram matrices of
+        # null_reference through the same 2-means. Each arm's two samples
+        # of 2,000 indices must pass a two-sample KS test at alpha = 0.001.
+        from scipy.stats import ks_2samp
+
+        d, n, reps = 60, 12, 2000
+        lam = _spiked(d, [9.0, 4.0, 2.5])
+        spectra = (NullSpectrum(method="hard", eigenvalues=lam, sigma_n_sq=1.0),
+                   NullSpectrum(method="soft", eigenvalues=np.maximum(lam - 2.0, 1.0),
+                                sigma_n_sq=1.0, tau=2.0))
+        config = make_config(n_sim=reps, master_seed=7001)
+        plan = engine._compact_plan(spectra, n)
+        grams, first, second = [], [], []
+        for r in range(reps):
+            rng = as_generator(stream(7002, NULL_REP, r))
+            i, j = _start_pairs(n, config.restarts_null, rng)
+            grams.append(null_reference.null_grams(plan, n, rng))
+            first += [i, i]
+            second += [j, j]
+        grams = np.concatenate(grams)
+        _, wss = _best_splits(grams, np.array(first), np.array(second))
+        reference = (wss / np.trace(grams, axis1=1, axis2=2)).reshape(reps, 2)
+        for e, spectrum in enumerate(spectra):
+            fast = simulate_null_cis(spectrum, n, config)
+            assert fast.dtype == np.float64 and fast.shape == (reps,)
+            assert ks_2samp(fast, reference[:, e]).pvalue > 1e-3
 
     def test_spectrum_scale_does_not_move_the_null(self):
         # Each arm runs in float32 on its spectrum scaled to a mean
@@ -343,9 +404,9 @@ class TestCompactNullFactor:
             def __getattr__(self, name):
                 return getattr(self._rng, name)
 
-            def standard_normal(self, size):
+            def standard_normal(self, size, **kwargs):
                 normals.append(int(np.prod(size)))
-                return self._rng.standard_normal(size)
+                return self._rng.standard_normal(size, **kwargs)
 
         def spy(plan, n, rng, out):
             calls.append(out.shape)
