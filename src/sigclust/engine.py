@@ -21,13 +21,16 @@ and whichever other arms are simulated alongside, and all arms simulated
 in one run (the combined method's hard and soft arms among them) share
 both the Gaussian draw and the k-means seeding within each replication.
 
-Replications run in blocks, mapped on a worker pool when one is open. A
-block stacks the Gram matrices of all its (replication, arm) elements
-and runs their 2-means together: each Lloyd sweep multiplies every
-element's still-moving restarts by its Gram matrix in one product.
-Its size comes from a byte budget of Gram matrices (``_BLOCK_BYTES``),
-never from the worker count, and no element's result depends on the rest
-of its block.
+Every null pass is planned here, by ``_shared_nulls``, for one data set
+(``run_tests``) or for one replication of a grid group (``harness``):
+arms with equal unit-mean spectra are simulated once, and the distinct
+arms are cut into passes whose Gram matrices for one replication fit
+``_BLOCK_BYTES``. Within a pass, replications run in blocks, mapped on a
+worker pool when one is open. A block stacks the Gram matrices of all its
+(replication, arm) elements and runs their 2-means together: each Lloyd
+sweep multiplies every element's still-moving restarts by its Gram matrix
+in one product. Its size comes from the same byte budget, never from the
+worker count, and no element's result depends on the rest of its block.
 
 The null runs in float32: each arm's spectrum is scaled to a mean
 eigenvalue of 1, which leaves the index's law unchanged and keeps every
@@ -415,15 +418,9 @@ def run_tests(
     ``config.workers`` processes opened for this call when that is above
     one.
     """
-    with _pool(config.workers) as pool:
-        return _run_tests(x, config, methods, pool)
-
-
-def _run_tests(x, config, methods, pool):
-    """``run_tests`` with the null's blocks mapped on ``pool`` (or serially
-    when it is None): the one-data-set case of a grid's shared null."""
     prelude = _prelude(x, config, methods)
-    return _reports(prelude, _shared_nulls([prelude], pool)[0])
+    with _pool(config.workers) as pool:
+        return _reports(prelude, _shared_nulls([prelude], pool)[0])
 
 
 def _arms(methods):
@@ -447,11 +444,6 @@ class _Prelude:
     spectra: dict
     warnings: tuple[str, ...]
     started: float
-
-    @property
-    def simulated(self) -> list[NullSpectrum]:
-        """The arms' spectra to simulate, in arm order; none at n = 2."""
-        return [] if self.n == 2 else [self.spectra[a] for a in self.arms]
 
 
 def _prelude(x, config, methods) -> _Prelude:
@@ -481,15 +473,42 @@ def _prelude(x, config, methods) -> _Prelude:
 
 
 def _shared_nulls(preludes, pool):
-    """Per prelude, the null indices of its simulated arms, all from one
-    ``_simulate`` call over every prelude's arms; none is made when no
-    prelude simulates. The preludes share d, n and their configs' n_sim,
-    master_seed and restarts_null, as the cells of one grid group do; each
-    arm's indices do not depend on the other arms of the call."""
-    per_prelude = [p.simulated for p in preludes]
-    spectra = [s for arms in per_prelude for s in arms]
-    cis = iter(_simulate(spectra, preludes[0].n, preludes[0].config, pool) if spectra else ())
-    return [tuple(next(cis) for _ in arms) for arms in per_prelude]
+    """Per prelude, the null indices of its arms, in arm order.
+
+    The preludes share d, n and their configs' n_sim, master_seed and
+    restarts_null, as one replication of a grid group does. Arms whose
+    unit-mean spectra are exactly equal are simulated once. The distinct
+    arms are cut, in prelude order, into ``_simulate`` passes whose Gram
+    matrices for one replication fit ``_BLOCK_BYTES``; a prelude's new arms
+    never straddle two passes, so each pass holds at least one prelude and
+    the combined method's hard and soft arms share their draw. An arm's
+    indices do not depend on the arms beside it, so neither the sharing nor
+    the cut changes a result. At n = 2 every null index is 0, and nothing
+    is simulated.
+    """
+    if not preludes or preludes[0].n == 2:
+        return [tuple(np.zeros(p.config.n_sim) for _ in p.arms) for p in preludes]
+    n, config = preludes[0].n, preludes[0].config
+    # ids: unit-mean eigenvalue bytes -> index into the distinct spectra;
+    # owned: each prelude's arms as such indices; starts: each pass's first.
+    ids, spectra, owned, starts = {}, [], [], []
+    for p in preludes:
+        first_new = len(spectra)
+        owned.append([])
+        for a in p.arms:
+            key = _unit_mean(p.spectra[a]).eigenvalues.tobytes()
+            if key not in ids:
+                ids[key] = len(spectra)
+                spectra.append(p.spectra[a])
+            owned[-1].append(ids[key])
+        if len(spectra) > first_new and (
+                not starts or _gram_bytes(n, len(spectra) - starts[-1]) > _BLOCK_BYTES):
+            starts.append(first_new)
+    del ids  # the keys are as large as the spectra
+    cis = []
+    for lo, hi in zip(starts, starts[1:] + [len(spectra)]):
+        cis += _simulate(spectra[lo:hi], n, config, pool)
+    return [tuple(cis[i] for i in arms) for arms in owned]
 
 
 def _checked(cis):
@@ -501,10 +520,8 @@ def _checked(cis):
 
 def _reports(prelude, cis) -> dict[str, TestReport]:
     """One report per method from a prelude and its arms' null indices
-    ``cis``; at n = 2 every null index is 0 and ``cis`` is empty."""
+    ``cis`` (``_shared_nulls``)."""
     config = prelude.config
-    if prelude.n == 2:
-        cis = [np.zeros(config.n_sim) for _ in prelude.arms]
     null = {a: _checked(c) for a, c in zip(prelude.arms, cis)}
     spectra = dict(prelude.spectra)
     if "combined" in prelude.methods:

@@ -4,9 +4,10 @@ A scenario draws n observations from a spiked Gaussian (w variances at v,
 the rest at 1), optionally shifted into a two-component mean mixture, runs
 the significance test under one or more null-spectrum methods, and
 aggregates the empirical p-values per (scenario, method) cell: their mean
-and the counts below 0.05 and 0.1. Scenario grids can be loaded from CSV
-files; a 31-cell single-cluster grid over (v, w) combinations ships with
-the package.
+and the counts below 0.05 and 0.1. Cells of one shape share each
+replication's null; how it is simulated (which arms, in which passes) is
+the engine's plan. Scenario grids can be loaded from CSV files; a 31-cell
+single-cluster grid over (v, w) combinations ships with the package.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine
 from ._streams import SCENARIO_DATA, SCENARIO_TEST, as_generator, seed_int, stream
 from .engine import (
-    METHODS, MIN_N_SIM, TestConfig, _arms, _pool, _prelude, _reports, _shared_nulls,
-    check_methods, check_workers, resolve_seed,
+    METHODS, MIN_N_SIM, TestConfig, _pool, _prelude, _reports, _shared_nulls, check_methods,
+    check_workers, resolve_seed,
 )
 from .errors import InvalidConfigError, ParseError, SigClustError
 from .io import _open_text
@@ -188,11 +188,12 @@ def run_grid(specs, workers: int = 1) -> GridSummary:
 
     Each replication generates one data set and runs all of the scenario's
     methods on it, sharing the observed statistic and the estimated
-    spectra. Cells that share d, n, n_sim and the master seed draw the same
-    null streams in each replication, so, in chunks of consecutive such
-    cells whose null Gram matrices for one replication fit the engine's
-    block budget, each replication simulates every arm of the chunk's
-    cells in one null pass. Each arm's null does not depend on the arms
+    spectra. Cells that share d, n, n_sim and the master seed form a group,
+    in order of first appearance, and draw the same null streams in each
+    replication. Per group and replication, the cells' preludes (observed
+    index and spectra, not the data) go to one ``engine._shared_nulls``
+    call, which simulates each distinct spectrum once, in passes that fit
+    the engine's memory budget. Each arm's null does not depend on the arms
     beside it, so every p-value equals that of the cell run alone. With
     ``workers`` > 1 every null pass runs on one process pool, shut down
     before this returns. A failed replication is recorded as a warning on
@@ -203,11 +204,14 @@ def run_grid(specs, workers: int = 1) -> GridSummary:
     specs = list(specs)
     pvals = [np.full((len(s.methods), s.reps), np.nan) for s in specs]
     warns: list[list[str]] = [[] for _ in specs]
+    groups: dict[tuple, list[int]] = {}
+    for i, s in enumerate(specs):
+        groups.setdefault((s.d, s.n, s.n_sim, s.master_seed), []).append(i)
     with _pool(workers) as pool:
-        for chunk in _chunks(specs):
-            for rep in range(max(specs[i].reps for i in chunk)):
+        for members in groups.values():
+            for rep in range(max(specs[i].reps for i in members)):
                 preludes = {}
-                for i in (i for i in chunk if rep < specs[i].reps):
+                for i in (i for i in members if rep < specs[i].reps):
                     try:
                         preludes[i] = _cell_prelude(specs[i], rep)
                     except SigClustError as err:
@@ -239,31 +243,6 @@ def _cell_prelude(spec: ScenarioSpec, rep: int):
         true_eigenvalues=true_null_eigenvalues(spec) if "true" in spec.methods else None,
     )
     return _prelude(generate_scenario_sample(spec, rep), config, spec.methods)
-
-
-def _chunks(specs):
-    """Indices of the cells whose nulls run together, chunk by chunk.
-
-    Cells sharing (d, n, n_sim, master_seed) form a group, in file order,
-    and each group is cut into runs of consecutive cells whose Gram
-    matrices for one replication (``engine._gram_bytes``) fit the engine's
-    ``_BLOCK_BYTES``, with at least one cell per chunk, so memory does not
-    grow with the grid.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for i, s in enumerate(specs):
-        groups.setdefault((s.d, s.n, s.n_sim, s.master_seed), []).append(i)
-    for members in groups.values():
-        chunk, size = [], 0
-        for i in members:
-            spec = specs[i]
-            gram_bytes = engine._gram_bytes(spec.n, len(_arms(spec.methods)))
-            if chunk and size + gram_bytes > engine._BLOCK_BYTES:
-                yield chunk
-                chunk, size = [], 0
-            chunk.append(i)
-            size += gram_bytes
-        yield chunk
 
 
 def builtin_calibration_grid_path() -> Path:

@@ -436,9 +436,35 @@ class TestCompactNullFactor:
         monkeypatch.setattr(engine, "_simulate", spy)
         rng = np.random.default_rng(21)
         x = DataMatrix(rng.normal(size=(40, 10)))
-        config = make_config(true_eigenvalues=np.ones(40))
+        # A spiked true spectrum: the soft arm falls back to a flat one here.
+        config = make_config(true_eigenvalues=_spiked(40, [4.0]))
         reports = run_tests(x, config, engine.METHODS)
         assert calls == [("true", "sample", "hard", "soft")]
+        np.testing.assert_array_equal(
+            reports["combined"].null_cis,
+            np.minimum(reports["hard"].null_cis, reports["soft"].null_cis),
+        )
+
+    def test_equal_arms_of_one_run_are_simulated_once(self, monkeypatch):
+        # The soft arm falls back to the flat spectrum, which scales to the
+        # flat true arm's unit-mean spectrum: one simulation serves both.
+        rng = np.random.default_rng(21)
+        x = DataMatrix(rng.normal(size=(40, 10)))
+        config = make_config(true_eigenvalues=np.ones(40))
+        alone = {m: run_tests(x, config, (m,))[m] for m in ("true", "soft")}
+        calls = []
+        original = engine._simulate
+
+        def spy(spectra, n, config, pool=None):
+            calls.append(tuple(s.method for s in spectra))
+            return original(spectra, n, config, pool)
+
+        monkeypatch.setattr(engine, "_simulate", spy)
+        reports = run_tests(x, config, engine.METHODS)
+        assert calls == [("true", "sample", "hard")]
+        assert "soft estimator fell back" in reports["soft"].warnings[0]
+        for m, report in alone.items():
+            np.testing.assert_array_equal(reports[m].null_cis, report.null_cis)
         np.testing.assert_array_equal(
             reports["combined"].null_cis,
             np.minimum(reports["hard"].null_cis, reports["soft"].null_cis),

@@ -26,6 +26,11 @@ from sigclust.harness import (
 )
 
 
+def _key(spectrum):
+    """What makes two arms one simulation: their unit-mean eigenvalues."""
+    return engine._unit_mean(spectrum).eigenvalues.tobytes()
+
+
 def make_spec(**kwargs):
     kwargs.setdefault("d", 20)
     kwargs.setdefault("n", 12)
@@ -309,29 +314,69 @@ class TestSharedNull:
         self.assert_cells_equal([c for c in cells if c.spec is not specs[3]],
                                 [c for i, a in enumerate(alone) if i != 3 for c in a])
 
-    def test_one_simulate_call_per_chunk_and_rep(self, monkeypatch):
+    @staticmethod
+    def record_passes(monkeypatch):
+        """Per ``_shared_nulls`` call, its preludes and its passes: each
+        pass's unit-mean spectrum keys and the bytes of each ``_null_grams``
+        ``out`` (in-process calls only)."""
         calls = []
-        real = engine._simulate
+        real_shared, real_simulate, real_grams = (
+            harness._shared_nulls, engine._simulate, engine._null_grams)
 
-        def spy(spectra, n, config, pool=None):
-            calls.append((n, tuple(s.method for s in spectra)))
-            return real(spectra, n, config, pool)
+        def shared(preludes, pool):
+            calls.append((preludes, []))
+            return real_shared(preludes, pool)
 
-        monkeypatch.setattr(engine, "_simulate", spy)
+        def simulate(spectra, n, config, pool=None):
+            calls[-1][1].append(([_key(s) for s in spectra], []))
+            return real_simulate(spectra, n, config, pool)
+
+        def grams(plan, n, rng, out):
+            calls[-1][1][-1][1].append(out.nbytes)
+            return real_grams(plan, n, rng, out)
+
+        monkeypatch.setattr(harness, "_shared_nulls", shared)
+        monkeypatch.setattr(engine, "_simulate", simulate)
+        monkeypatch.setattr(engine, "_null_grams", grams)
+        return calls
+
+    @staticmethod
+    def assert_each_distinct_spectrum_once(preludes, passes):
+        simulated = [k for keys, _ in passes for k in keys]
+        assert len(simulated) == len(set(simulated))
+        assert set(simulated) == {_key(p.spectra[a]) for p in preludes for a in p.arms}
+
+    def test_one_shared_nulls_call_per_group_and_rep(self, monkeypatch):
         # Four n = 10 Gram matrices fit, five do not.
-        monkeypatch.setattr(engine, "_BLOCK_BYTES", engine._gram_bytes(10, 4))
+        budget = engine._gram_bytes(10, 4)
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", budget)
+        calls = self.record_passes(monkeypatch)
         run_grid(self.specs())
-        d30 = [("sample", "hard"), ("true", "soft", "hard"), ("hard",)]
-        d20 = [("hard", "soft"), ("true", "sample", "hard", "soft")]
-        assert calls == [
-            (10, d30[0]), (10, d30[0]), (10, d30[0]),  # specs[0] alone: the next does not fit
-            (10, d30[1] + d30[2]), (10, d30[1] + d30[2]), (10, d30[2]), (10, d30[2]),
-            (12, d20[0]), (12, d20[0]),  # 2 + 4 arms at n = 12 exceed the budget
-            (12, d20[1]), (12, d20[1]), (12, d20[1]),  # a chunk of one cell may
-            (10, ("hard",)), (10, ("hard",)), (10, ("sample",)), (10, ("sample",)),
+        # Groups in order of first appearance; per replication, one call
+        # with the preludes of the group's cells that have that rep.
+        assert [(p[0].n, p[0].config.n_sim, len(p)) for p, _ in calls] == [
+            (10, 100, 3), (10, 100, 3), (10, 100, 2), (10, 100, 1),  # specs 0, 2, 3
+            (12, 100, 2), (12, 100, 2), (12, 100, 1),  # specs 1, 4
+            (10, 150, 1), (10, 150, 1), (10, 100, 1), (10, 100, 1),  # specs 5, 6
         ]
-        for n, arms in calls:
-            assert engine._gram_bytes(n, len(arms)) <= engine._BLOCK_BYTES or arms in d30 + d20
+        assert [[len(keys) for keys, _ in passes] for _, passes in calls] == [
+            [2, 4], [2, 4], [3], [1],  # 2 + 3 arms exceed the budget, 3 + 1 fit
+            [2, 4], [2, 4], [4],  # 2 + 4 arms at n = 12 exceed it, and 4 alone do
+            [1], [1], [1], [1],
+        ]
+        for preludes, passes in calls:
+            self.assert_each_distinct_spectrum_once(preludes, passes)
+            n, planned, homes = preludes[0].n, set(), []
+            for p in preludes:
+                new = {_key(p.spectra[a]) for a in p.arms} - planned
+                planned |= new
+                # No prelude's new arms are split across passes.
+                [home] = {i for i, (keys, _) in enumerate(passes) if new & set(keys)}
+                homes.append(home)
+            for i, (keys, outs) in enumerate(passes):
+                assert outs == [len(keys) * n * n * 4] * preludes[0].config.n_sim
+                # Within the budget, unless one prelude's arms alone exceed it.
+                assert outs[0] <= budget or homes.count(i) == 1
 
     def test_calibration_grid_draws_each_replication_once(self, tmp_path, monkeypatch):
         # The benchmark's grid-calib-w2 scenario: three cells of one shape,
@@ -348,8 +393,32 @@ class TestSharedNull:
         path.write_text("v,w,d,n,a,mode,reps,n_sim\n1000,1,1000,100,0,none,1,100\n"
                         "40,25,1000,100,0,none,1,100\n1,1,1000,100,0,none,1,100\n")
         grid = run_grid(load_scenario_file(path, master_seed=11))
-        assert shapes == [(12, 100, 100)] * 100
+        # 11 distinct arms, not 12: the (1, 1) cell's soft spectrum falls
+        # back to the flat one, which equals its flat true arm.
+        assert shapes == [(11, 100, 100)] * 100
         assert not any(np.isnan(c.pvalues).any() for c in grid.cells)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equal_spectra_are_drawn_once(self, monkeypatch, workers):
+        # Two v = 1 cells draw the same data set, so every arm of the second
+        # repeats one of the first, and both true arms are flat; the last
+        # spec repeats the first.
+        specs = [
+            make_spec(d=30, n=10, v=1.0, w=0, methods=engine.METHODS),
+            make_spec(d=30, n=10, v=9.0, w=1, methods=engine.METHODS),
+            make_spec(d=30, n=10, v=1.0, w=3, methods=("true", "hard")),
+        ]
+        specs.append(specs[0])
+        alone = [c for spec in specs for c in run_grid([spec]).cells]
+        calls = self.record_passes(monkeypatch)
+        self.assert_cells_equal(run_grid(specs, workers=workers).cells, alone)
+        assert multiprocessing.active_children() == []
+        assert len(calls) == 3
+        for preludes, passes in calls:
+            self.assert_each_distinct_spectrum_once(preludes, passes)
+            # 6 of 14 arms: both soft arms fall back to the flat spectrum of
+            # the first cell's true arm, and cells 3 and 4 repeat cell 1.
+            assert sum(len(keys) for keys, _ in passes) == 6
 
 
 class TestPowerCurve:
