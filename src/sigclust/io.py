@@ -8,10 +8,12 @@ first) is read by numpy's C reader; every other file, and any plain file
 that reader rejects, goes through the csv module, which defines the cell
 syntax, the warnings and the errors for both. Both paths read the file
 from an open handle, the plain check in binary chunks, so the file is
-never held in memory whole. Reports are written as JSON with a fixed key
-order so that two runs with the same seed produce byte-identical files
-apart from the timing field, plus CSV twins of the null indices for
-spreadsheet use.
+never held in memory whole. On Linux a large plain file is read in parts
+by forked processes, one per CPU, each writing its rows into one shared
+buffer; the values, warnings and errors are those of one read. Reports
+are written as JSON with a fixed key order so that two runs with the same
+seed produce byte-identical files apart from the timing field, plus CSV
+twins of the null indices for spreadsheet use.
 """
 
 from __future__ import annotations
@@ -20,8 +22,12 @@ import codecs
 import csv
 import itertools
 import json
+import mmap
+import os
+import signal
+import threading
 import warnings as _pywarnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -44,6 +50,8 @@ _NOT_PLAIN = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # chunks in which a matrix file is scanned.
 _BLANK = b" \t\n\r\x0b\x0c"
 _CHUNK = 1 << 20
+# The least share of a plain file worth a forked reader of its own.
+_SPLIT_BYTES = 8 << 20
 _LF, _COMMA = ord("\n"), ord(",")
 
 
@@ -125,7 +133,9 @@ def _parse_plain(path, choices):
     too. The reader then runs only on files where it agrees with the csv
     path: those ``_plain_counts`` finds fit, with as many commas as lines x
     (width - 1). A blank line inside the data, which the reader skips and
-    the csv path reports, shows as a short row count.
+    the csv path reports, shows as a short row count. A large file is read
+    in parts by forked processes (``_split_count``, ``_read_split``), with
+    the same values as one read.
     """
     counts = _plain_counts(path)
     if counts is None:
@@ -133,26 +143,116 @@ def _parse_plain(path, choices):
     lines, commas = counts
     with open(path, encoding="ascii", newline="") as stream:
         first_rows = [stream.readline().rstrip("\r\n").split(",") for _ in range(2)]
-        width = len(first_rows[0])
-        for h, r in choices:
-            if h < lines and r < width and _floats(first_rows[h][r:]):
-                break
-        else:
-            return None
-        if commas != lines * (width - 1):
-            return None  # a ragged row, which usecols alone would not catch
-        stream.seek(0)
+    width = len(first_rows[0])
+    for h, r in choices:
+        if h < lines and r < width and _floats(first_rows[h][r:]):
+            break
+    else:
+        return None
+    if commas != lines * (width - 1):
+        return None  # a ragged row, which usecols alone would not catch
+    usecols = range(r, width) if r else None
+    k = _split_count(path, lines - h)
+    if k == 1:
+        values = _read_range(path, h, lines, usecols, width - r)
+    else:
+        bounds = [h + (lines - h) * i // k for i in range(k + 1)]
+        values = _read_split(path, bounds, usecols, width - r)
+    return None if values is None else (values, h, r)
+
+
+def _split_count(path, rows) -> int:
+    """How many processes read a plain file of ``rows`` data lines: one per
+    CPU this process may run on, each with at least ``_SPLIT_BYTES`` of the
+    file and one line. One, so no fork, where the platform cannot tell the
+    CPUs, or while another Python thread runs: a lock it holds at the fork
+    would stay held in the child."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(cpus, os.path.getsize(path) // _SPLIT_BYTES, rows))
+
+
+def _read_range(path, start, stop, usecols, width):
+    """Lines [start, stop) of a plain file as numpy's C reader reads them,
+    or None when it rejects one or skips a blank line. The lines are split
+    by a ``newline=""`` text stream, as the csv path splits them."""
+    with open(path, encoding="ascii", newline="") as stream:
         try:
             values = np.loadtxt(
-                itertools.islice(stream, lines), dtype=np.float64, delimiter=",",
-                comments=None, ndmin=2, skiprows=h,
-                usecols=range(r, width) if r else None,
+                itertools.islice(stream, start, stop), dtype=np.float64,
+                delimiter=",", comments=None, ndmin=2, usecols=usecols,
             )
         except ValueError:
             return None
-    if values.shape != (lines - h, width - r):
-        return None  # the C reader skipped a blank line
-    return values, h, r
+    return values if values.shape == (stop - start, width) else None
+
+
+def _read_split(path, bounds, usecols, width):
+    """The lines ``bounds[0]`` to ``bounds[-1]`` of a plain file, read as
+    ``_read_range`` reads them, in the parts between consecutive bounds.
+
+    Each part past the first is read by a forked child, which writes its
+    rows into one anonymous shared mapping; the parent reads the first part
+    meanwhile. A part is rejected as ``_read_range`` rejects it, and also
+    when it holds only blank lines. A child exits 0 once its rows are
+    written and 1 when its part is rejected. The parent reads again the
+    part of a child that ends any other way, so a failed child costs time
+    but changes no value, warning or error. Every child has ended when this
+    returns or raises. Returns a view of the mapping, which lives as long
+    as the view, or None when any part is rejected.
+    """
+    rows = bounds[-1] - bounds[0]
+    values = np.frombuffer(mmap.mmap(-1, rows * width * 8), np.float64).reshape(rows, width)
+
+    def fill(start, stop) -> bool:
+        with _pywarnings.catch_warnings():
+            # The reader warns on a part of blank lines only, which the csv
+            # path reports as an error. No other thread runs to lose a warning.
+            _pywarnings.simplefilter("error", UserWarning)
+            try:
+                part = _read_range(path, start, stop, usecols, width)
+            except UserWarning:
+                part = None
+        if part is not None:
+            values[start - bounds[0]:stop - bounds[0]] = part
+        return part is not None
+
+    children = {}  # pid: (start, stop)
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            with _pywarnings.catch_warnings():
+                # Python 3.12+ warns that fork() in a process with threads
+                # may deadlock the child; OpenBLAS's pool counts. The child
+                # only parses its own file handle with numpy's C reader and
+                # leaves by os._exit, with no BLAS call in between.
+                _pywarnings.filterwarnings(
+                    "ignore", r"This process .* is multi-threaded", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                code = 2
+                try:
+                    _pywarnings.simplefilter("error")  # a warning: the parent reads again
+                    code = 0 if fill(start, stop) else 1
+                finally:
+                    os._exit(code)
+            children[pid] = (start, stop)
+        if not fill(bounds[0], bounds[1]):
+            return None
+        for pid in list(children):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            start, stop = children.pop(pid)
+            if code == 1:
+                return None
+            if code and not fill(start, stop):
+                return None
+        return values
+    finally:
+        for pid in children:
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        for pid in children:
+            os.waitpid(pid, 0)
 
 
 def _decode_error(path, err: UnicodeDecodeError) -> ParseError:
@@ -275,7 +375,11 @@ def load_matrix(
     file, or one that reader rejects, is read by the csv module. Both give
     the same values, warnings and errors. The file is read in chunks and
     never held whole, so a plain file's load needs memory for the matrix,
-    not for the file's text.
+    not for the file's text. A plain file of at least two ``_SPLIT_BYTES``
+    shares is read in parts by forked processes where the platform reports
+    the CPUs this process may use (Linux) and no other Python thread runs:
+    one per CPU, at most one per share. That changes the speed only; a part
+    whose process fails is read again here.
     """
     if header not in _STRIPS or row_names not in _STRIPS:
         raise InvalidConfigError('header and row_names must be "auto", "yes", or "no"')

@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import signal
 import tempfile
+import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -381,6 +385,174 @@ class TestChunkBoundaries:
             monkeypatch.setattr(sigclust_io, "_CHUNK", chunk)
             assert _outcome(load_matrix, path) == want
             assert (sigclust_io._parse_plain(path, [(0, 0)]) is not None) == plain
+
+
+def _assert_no_child():
+    """No child process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Edits of TestSplitRead._matrix's lines, each in the last third of its
+# 30 data lines and each with as many commas as the file had: the plain-file
+# scan passes them, and the C reader meets them.
+def _bad_cell(lines):
+    lines[28] = lines[28].replace(",", ",x", 1)
+
+
+def _blank_line(lines):
+    lines.insert(27, "")
+    lines[29] += ",1,1,1"  # extra cells, which usecols drops
+
+
+def _ragged_rows(lines):
+    lines[25] = lines[25].rsplit(",", 1)[0]
+    lines[29] += ",1"
+
+
+class TestSplitRead:
+    """A plain file read in parts by forked processes gives what one read
+    gives: the same values, warnings and errors, and no child left."""
+
+    @staticmethod
+    def _split(mp, cpus):
+        # A 1-byte share: every file with `cpus` data lines or more is split.
+        mp.setattr(sigclust_io, "_SPLIT_BYTES", 1)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        real = sigclust_io._parse_plain
+
+        def parse_plain(path, choices):
+            try:
+                return real(path, choices)
+            finally:
+                _assert_no_child()
+
+        mp.setattr(sigclust_io, "_parse_plain", parse_plain)
+
+    @staticmethod
+    def _forks(mp):
+        calls = []
+        real = os.fork
+
+        def fork():
+            calls.append(os.getpid())
+            return real()
+
+        mp.setattr(os, "fork", fork)
+        return calls
+
+    @staticmethod
+    def _matrix(tmp_path, rows=30, edit=None):
+        """A plain rows x 4 file with a header and row names; ``edit`` may
+        change its lines before they are written."""
+        values = np.random.default_rng(rows).standard_normal((rows, 3))
+        lines = ["gene,s1,s2,s3"] + [f"g{i}," + ",".join(map(repr, map(float, row)))
+                                     for i, row in enumerate(values)]
+        if edit:
+            edit(lines)
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @settings(max_examples=200, deadline=None)
+    @given(cpus=st.integers(2, 3), **_FILE_ARGS)
+    def test_split_matches_csv_path(self, cpus, **args):
+        with pytest.MonkeyPatch.context() as mp:
+            self._split(mp, cpus)
+            TestPlainReaderAgainstCsvPath.test_matches_csv_path.hypothesis.inner_test(
+                TestPlainReaderAgainstCsvPath(), **args)
+
+    @pytest.mark.parametrize("edit", [
+        _bad_cell, _blank_line, _ragged_rows,
+    ], ids=["bad-cell", "blank-line", "ragged-rows"])
+    def test_error_in_the_last_part_is_the_serial_error(self, tmp_path, monkeypatch, edit):
+        path = self._matrix(tmp_path, edit=edit)
+        want = _outcome(load_matrix, path)
+        assert want[0][0] is ParseError
+        self._split(monkeypatch, 3)
+        forks = self._forks(monkeypatch)
+        assert _outcome(load_matrix, path) == want
+        assert len(forks) == 2
+
+    def test_part_of_blank_lines_is_the_serial_error(self, tmp_path, monkeypatch):
+        # numpy's reader warns on a part with no data; that must not show.
+        def blank_middle_part(lines):
+            lines[11:21] = [""] * 10
+            lines[25] += ",1" * 30  # commas balanced, cells usecols drops
+
+        path = self._matrix(tmp_path, edit=blank_middle_part)
+        want = _outcome(load_matrix, path)
+        assert want[0][0] is ParseError
+        self._split(monkeypatch, 3)
+        assert _outcome(load_matrix, path) == want
+
+    @pytest.mark.parametrize("fail", ["raise", "kill"])
+    def test_failed_child_is_read_again(self, tmp_path, monkeypatch, fail):
+        path = self._matrix(tmp_path)
+        want = _outcome(load_matrix, path)
+        me, real = os.getpid(), sigclust_io._read_range
+
+        def read_range(*args):
+            if os.getpid() != me:
+                if fail == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("a child fails")
+            return real(*args)
+
+        monkeypatch.setattr(sigclust_io, "_read_range", read_range)
+        self._split(monkeypatch, 3)
+        forks = self._forks(monkeypatch)
+        assert _outcome(load_matrix, path) == want
+        assert len(forks) == 2
+
+    def test_interrupted_parent_stops_its_children(self, tmp_path, monkeypatch):
+        path = self._matrix(tmp_path)
+        me = os.getpid()
+
+        def read_range(*args):
+            if os.getpid() != me:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(sigclust_io, "_read_range", read_range)
+        self._split(monkeypatch, 3)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            sigclust_io._parse_plain(path, [(1, 1)])
+        assert time.monotonic() - t0 < 30
+
+    def test_fork_warning_is_not_shown(self, tmp_path, monkeypatch):
+        # Python 3.12+ warns at every fork while OpenBLAS's threads run.
+        path = self._matrix(tmp_path)
+        want = _outcome(load_matrix, path)
+        real = os.fork
+
+        def fork():
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                          "fork() may lead to deadlocks in the child.", DeprecationWarning)
+            return real()
+
+        self._split(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", fork)
+        assert _outcome(load_matrix, path) == want
+
+    def test_no_fork_while_another_thread_runs(self, tmp_path, monkeypatch):
+        path = self._matrix(tmp_path)
+        want = _outcome(load_matrix, path)
+        self._split(monkeypatch, 3)
+        forks = self._forks(monkeypatch)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait, args=(30,))
+        thread.start()
+        try:
+            assert _outcome(load_matrix, path) == want
+        finally:
+            done.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        assert forks == []
+        assert _outcome(load_matrix, path) == want
+        assert len(forks) == 2
 
 
 def _first_bad_byte(data: bytes, encoding: str):
