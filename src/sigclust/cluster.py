@@ -21,6 +21,10 @@ sweep multiplies each element's rows by its G in one product; a restart
 leaves in the sweep that stops it, scored from that sweep's terms. The
 observed statistic (float64) and the null replications (float32) share
 this one kernel, which runs in the dtype of the Gram matrices it is given.
+The observed winner is scored from the same G (``tss = tr G``, and wss
+from G's diagonal blocks), which a run also takes its sample spectrum
+from when d > n. :func:`cluster_index_for_labels` scores a given
+partition from the data instead, where n may be too large for G.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .errors import (
     InvalidDataError,
     InvalidLabelsError,
 )
-from .linalg import DataMatrix
+from .linalg import DataMatrix, _centred_gram
 
 MAX_LLOYD_ITER = 300
 _DUPLICATE_RTOL = 1e-8  # relative gap below which two columns are compared exactly
@@ -96,15 +100,20 @@ def cluster_index_for_labels(x: DataMatrix, labels) -> ClusterSplit:
 
 
 def _gram(values: np.ndarray) -> np.ndarray:
-    """Gram matrix ``XcᵀXc`` of the grand-mean-centered columns (n by n).
+    """Gram matrix ``XcᵀXc`` of the grand-mean-centered columns (n by n),
+    with :func:`_guard_duplicates` applied."""
+    return _guard_duplicates(values, _centred_gram(values))
+
+
+def _guard_duplicates(values: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """``gram``, the ``_centred_gram`` of ``values``, with exact ties kept.
 
     BLAS may round the entries of two identical columns differently, which
     would break the exact ties between duplicate observations that the
     d-space algorithm sees. So every exact duplicate gets the Gram row and
-    column of its first copy.
+    column of its first copy, in a new matrix; ``gram`` itself is returned
+    when no two columns are equal.
     """
-    xc = values - values.mean(axis=1, keepdims=True)
-    gram = xc.T @ xc
     diag = np.diagonal(gram)
     ranked = np.sort(diag)
     if not np.any(np.diff(ranked) <= _DUPLICATE_RTOL * ranked[1:]):
@@ -230,20 +239,38 @@ def two_means_ci(x: DataMatrix, restarts: int = 20, seed=None) -> ClusterSplit:
     updates until the labels stabilize (at most ``MAX_LLOYD_ITER`` sweeps).
     A point equidistant from both centroids keeps its current label, and an
     emptied cluster is refilled with the point farthest from the surviving
-    centroid. The sweeps run in kernel form on the n-by-n Gram matrix of
+    centroid. The sweeps run in kernel form on the n-by-n Gram matrix G of
     the centered observations, in the null's kernel with this matrix as its
-    only element, in float64; the winning split is then scored directly
-    from the data by :func:`cluster_index_for_labels`, which raises on
-    degenerate data. The clusters are named canonically: cluster 1 holds
-    the first observation, so restarts that reach one partition with the
-    names swapped give the same labels. The returned index is an upper
-    bound on the global optimum and is deterministic given the seed.
+    only element, in float64; the winning split is then scored from the
+    same G: ``tss = tr G`` and ``wss = Σ_k (tr G_kk - 1ᵀG_kk1 / n_k)``,
+    which equals :func:`cluster_index_for_labels` on the data to round-off.
+    A zero ``tss`` raises :class:`DegenerateDataError`. The clusters are
+    named canonically: cluster 1 holds the first observation, so restarts
+    that reach one partition with the names swapped give the same labels.
+    The returned index is an upper bound on the global optimum and is
+    deterministic given the seed.
     """
     if restarts < 1:
         raise InvalidConfigError("restarts must be >= 1")
+    return _two_means(x, _centred_gram(x.values), restarts, seed)
+
+
+def _two_means(x: DataMatrix, gram: np.ndarray, restarts: int, seed) -> ClusterSplit:
+    """:func:`two_means_ci` of ``x`` given ``gram``, its ``_centred_gram``."""
     first, second = _start_pairs(x.n, restarts, as_generator(seed))
-    in2, _ = _best_splits(_gram(x.values)[None], first[None], second[None])
-    return cluster_index_for_labels(x, np.where(in2[0] != in2[0, 0], 2, 1))
+    gram = _guard_duplicates(x.values, gram)
+    in2, _ = _best_splits(gram[None], first[None], second[None])
+    labels = np.where(in2[0] != in2[0, 0], 2, 1)
+    tss = float(np.trace(gram))
+    if tss <= 0.0:
+        raise DegenerateDataError("total sum of squares is zero; no cluster structure")
+    wss = 0.0
+    for k in (1, 2):
+        members = np.flatnonzero(labels == k)
+        block = gram[np.ix_(members, members)]
+        wss += float(np.trace(block)) - float(block.sum()) / members.size
+    wss = max(wss, 0.0)  # round-off below zero
+    return ClusterSplit(labels=labels, wss=wss, tss=tss, ci=wss / tss)
 
 
 def theoretical_ci(eigenvalues) -> float:

@@ -53,14 +53,14 @@ from functools import lru_cache, partial
 import numpy as np
 
 from ._streams import OBSERVED, null_generator, seed_int, stream
-from .cluster import _best_splits, _start_pairs, cluster_index_for_labels, two_means_ci
+from .cluster import _best_splits, _start_pairs, _two_means, cluster_index_for_labels
 from .errors import (
     DegenerateDataError,
     InvalidConfigError,
     InvalidSpectraError,
     NoTraceSolutionError,
 )
-from .linalg import DataMatrix, sample_spectrum
+from .linalg import DataMatrix, _centred_gram, _sample_spectrum
 from .spectrum import (
     NullSpectrum,
     estimate_noise,
@@ -373,10 +373,16 @@ def estimate_null_spectra(
     """Null spectra for the ``arms`` among "sample", "hard", "soft" and
     "true", plus warnings. The soft arm falls back to the flat,
     trace-preserving spectrum when no soft offset matches the trace."""
+    return _null_spectra(x, arms, true_eigenvalues, None)
+
+
+def _null_spectra(x, arms, true_eigenvalues, gram):
+    """:func:`estimate_null_spectra`, its sample spectrum taken from
+    ``gram``, the ``_centred_gram`` of ``x.values``, when that is not None."""
     spectra: dict[str, NullSpectrum] = {}
     warnings: list[str] = []
     if {"sample", "hard", "soft"} & set(arms):
-        spec = sample_spectrum(x)
+        spec = _sample_spectrum(x, gram)
         noise = estimate_noise(x) if {"hard", "soft"} & set(arms) else None
     if "sample" in arms:
         spectra["sample"] = NullSpectrum(method="sample", eigenvalues=spec.padded())
@@ -447,22 +453,27 @@ class _Prelude:
 
 
 def _prelude(x, config, methods) -> _Prelude:
-    """The observed statistic, null spectra and warnings of one data set."""
+    """The observed statistic, null spectra and warnings of one data set.
+
+    The centred Gram matrix is formed once, here, for the observed 2-means
+    and (when d > n) the sample spectrum, and dropped on return."""
     methods = tuple(methods) if methods is not None else (config.method,)
     check_methods(methods)
     started = time.perf_counter()
+    gram = None
     if config.labels is not None:
         split = cluster_index_for_labels(x, config.labels)
         observed_mode = "known-labels"
     else:
-        split = two_means_ci(
-            x,
-            restarts=config.restarts_observed,
-            seed=stream(config.master_seed, OBSERVED),
+        gram = _centred_gram(x.values)
+        split = _two_means(
+            x, gram, config.restarts_observed, stream(config.master_seed, OBSERVED)
         )
         observed_mode = "two-means"
+        if x.d <= x.n:
+            gram = None  # the spectrum comes from the d x d covariance
     arms = _arms(methods)
-    spectra, warnings = estimate_null_spectra(x, arms, config.true_eigenvalues)
+    spectra, warnings = _null_spectra(x, arms, config.true_eigenvalues, gram)
     if x.n == 2:
         warnings.append(
             "n=2: every split puts one observation in each cluster, so the observed "

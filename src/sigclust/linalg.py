@@ -4,8 +4,9 @@ Data matrices are oriented variables-by-observations: d rows, n columns.
 The sample covariance uses the 1/n normalizer. Its nonzero eigenvalues are
 computed from the n-by-n Gram matrix whenever d > n, which is the cheap
 route in high-dimension low-sample-size regimes, and from the d-by-d
-covariance otherwise. All operations are pure functions over immutable
-inputs.
+covariance otherwise; that Gram matrix is the same product
+(:func:`_centred_gram`) that the 2-means search runs on, so a run forms it
+once. All operations are pure functions over immutable inputs.
 """
 
 from __future__ import annotations
@@ -74,23 +75,39 @@ class EigenSpectrum:
         return out
 
 
+def _centred_gram(values: np.ndarray) -> np.ndarray:
+    """Gram matrix ``XcᵀXc`` (n by n) of the row-centred columns of ``values``.
+
+    This is the one product over the d x n matrix that the 2-means search,
+    the observed index and, for d > n, the sample spectrum all start from.
+    """
+    centered = values - values.mean(axis=1, keepdims=True)
+    return centered.T @ centered
+
+
 def sample_spectrum(x: DataMatrix) -> EigenSpectrum:
     """Eigenvalues of the 1/n sample covariance of the row-centered matrix.
 
     For d > n the spectrum comes from the n-by-n Gram matrix of the centered
-    columns, whose nonzero eigenvalues coincide with the covariance's. Row
-    centering puts the all-ones vector in the null space, so at most n - 1
-    eigenvalues are nonzero; trailing eigenvalues are reported as exact
-    zeros, as are round-off values below ``EPS_EIG_REL`` times the largest.
+    columns (:func:`_centred_gram`), divided by n, whose nonzero eigenvalues
+    coincide with the covariance's. Row centering puts the all-ones vector
+    in the null space, so at most n - 1 eigenvalues are nonzero; trailing
+    eigenvalues are reported as exact zeros, as are round-off values below
+    ``EPS_EIG_REL`` times the largest.
     """
-    centered = x.values - x.values.mean(axis=1, keepdims=True)
-    d, n = centered.shape
+    return _sample_spectrum(x, None)
+
+
+def _sample_spectrum(x: DataMatrix, gram: np.ndarray | None) -> EigenSpectrum:
+    """:func:`sample_spectrum` of ``x``, taken for d > n from ``gram``, the
+    ``_centred_gram`` of ``x.values``, formed here when None."""
+    d, n = x.d, x.n
     if d > n:
-        gram = (centered.T @ centered) / n
-        evals = np.linalg.eigvalsh(gram)
+        gram = _centred_gram(x.values) if gram is None else gram
+        evals = np.linalg.eigvalsh(gram / n)
     else:
-        cov = (centered @ centered.T) / n
-        evals = np.linalg.eigvalsh(cov)
+        centered = x.values - x.values.mean(axis=1, keepdims=True)
+        evals = np.linalg.eigvalsh((centered @ centered.T) / n)
     evals = np.sort(evals)[::-1].copy()
     top = max(float(evals[0]), 0.0)
     evals[evals < EPS_EIG_REL * top] = 0.0

@@ -13,6 +13,7 @@ scale).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -29,6 +30,13 @@ from .linalg import DataMatrix, EigenSpectrum
 # MAD of the standard normal distribution, i.e. the 75% quantile of |N(0,1)|.
 # Computed from the inverse normal CDF rather than hard-coded.
 MAD_STD_NORMAL = NormalDist().inv_cdf(0.75)
+
+# Arrays of fewer entries take np.median directly; larger ones are sampled
+# at a stride that leaves about _MEDIAN_SAMPLE entries to bracket the median,
+# then scanned _MEDIAN_CHUNK entries at a time.
+_MEDIAN_MIN_SIZE = 1 << 16
+_MEDIAN_SAMPLE = 1 << 12
+_MEDIAN_CHUNK = 1 << 16
 
 _METHODS = ("sample", "hard", "soft", "true")
 
@@ -88,18 +96,57 @@ def estimate_noise(x: DataMatrix) -> NoiseEstimate:
     mostly constant matrix with no meaningful null and raises
     :class:`DegenerateNoiseError`.
 
-    The deviations live in one d*n temporary, made absolute and then
-    partitioned in place.
+    Both medians are ``np.median``'s, found by :func:`_median`'s band
+    selection; the deviations live in one d*n temporary, made absolute in
+    place.
     """
-    dev = x.values.ravel() - np.median(x.values)
+    values = x.values.ravel()
+    dev = values - _median(values)
     np.abs(dev, out=dev)
-    mad_raw = float(np.median(dev, overwrite_input=True))
+    mad_raw = float(_median(dev))
     if mad_raw == 0.0:
         raise DegenerateNoiseError(
             "MAD of the data is zero; background noise level undefined"
         )
     sigma_n = mad_raw / MAD_STD_NORMAL
     return NoiseEstimate(sigma_n_sq=sigma_n * sigma_n, mad_raw=mad_raw)
+
+
+def _median(a: np.ndarray):
+    """``np.median(a)`` of a finite 1-d float64 array, found in a band.
+
+    Sorting every ``a.size // _MEDIAN_SAMPLE``-th entry brackets the middle
+    rank(s) in a band [lo, hi] with a margin of about four standard
+    deviations of the sample rank; one pass, in chunks, counts the entries
+    below lo and extracts the band, and only the band is partitioned. The
+    result is ``np.mean`` over the same one or two order statistics that
+    ``np.median`` averages, so it is ``np.median(a)`` bit for bit (up to
+    the sign of a zero median when ``a`` holds both 0.0 and -0.0). A band
+    that misses the middle rank falls back to ``np.median``, as do arrays
+    below ``_MEDIAN_MIN_SIZE`` entries.
+    """
+    size = a.size
+    if size < _MEDIAN_MIN_SIZE:
+        return np.median(a)
+    ranks = sorted({(size - 1) // 2, size // 2})
+    sample = np.sort(a[:: size // _MEDIAN_SAMPLE])
+    margin = 2 * math.isqrt(sample.size)
+    at = [r * sample.size // size for r in ranks]
+    lo = sample[max(at[0] - margin, 0)]
+    hi = sample[min(at[-1] + margin, sample.size - 1)]
+    below, parts = 0, []
+    for start in range(0, size, _MEDIAN_CHUNK):  # chunks keep the masks small
+        chunk = a[start : start + _MEDIAN_CHUNK]
+        inside = chunk >= lo
+        below += chunk.size - np.count_nonzero(inside)
+        inside &= chunk <= hi
+        parts.append(chunk[inside])
+    band = np.concatenate(parts)
+    if below > ranks[0] or ranks[-1] >= below + band.size:
+        return np.median(a)
+    kth = [r - below for r in ranks]
+    band.partition(kth)
+    return np.mean(band[kth])
 
 
 def hard_threshold(spec: EigenSpectrum, noise: NoiseEstimate) -> NullSpectrum:

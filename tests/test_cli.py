@@ -88,10 +88,10 @@ def test_exit_code_missing_file(tmp_path, capsys):
     np.linalg.LinAlgError("SVD did not converge"), MemoryError(),
 ])
 def test_exit_code_linalg_and_memory_failures(matrix_file, capsys, monkeypatch, failure):
-    def fail(x):
+    def fail(x, gram):
         raise failure
 
-    monkeypatch.setattr("sigclust.engine.sample_spectrum", fail)
+    monkeypatch.setattr("sigclust.engine._sample_spectrum", fail)
     assert main(["test", str(matrix_file), "--nsim", "100", "--seed", "1"]) == EXIT_OTHER
     err = capsys.readouterr().err
     assert err.startswith(f"error: {type(failure).__name__}")

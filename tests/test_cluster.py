@@ -157,6 +157,31 @@ def _same_split(a, b, mirror_ok):
     return np.array_equal(a, b) or (mirror_ok and np.array_equal(a, 3 - b))
 
 
+class TestObservedScoreFromGram:
+    """The winning split scored from the Gram matrix it was found on."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        d=st.integers(1, 300),
+        restarts=st.integers(1, 25),
+        distinct=st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=12, d=50, restarts=10, distinct=4, seed=5)  # many duplicate columns
+    def test_matches_d_space_score_with_the_same_labels(self, n, d, restarts, distinct, seed):
+        values = _columns(d, n, distinct, seed) + np.random.default_rng(seed).normal(size=(d, 1))
+        x = DataMatrix(values)
+        split = two_means_ci(x, restarts=restarts, seed=np.random.default_rng(seed))
+        first, second = cluster._start_pairs(n, restarts, np.random.default_rng(seed))
+        in2, _ = cluster._best_splits(cluster._gram(x.values)[None], first[None], second[None])
+        assert np.array_equal(split.labels, np.where(in2[0] != in2[0, 0], 2, 1))
+        scored = cluster_index_for_labels(x, split.labels)
+        assert abs(split.ci - scored.ci) <= 1e-13
+        assert split.tss == pytest.approx(scored.tss, rel=1e-12)
+        assert 0.0 <= split.wss <= split.tss
+
+
 class TestBatchedKernelAgainstReference:
     """The Gram-form kernel against the original d-space Lloyd."""
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import null_reference
 import numpy as np
@@ -21,8 +22,9 @@ from sigclust import (
     run_test,
     run_tests,
     simulate_null_cis,
+    two_means_ci,
 )
-from sigclust._streams import NULL_REP, as_generator, null_generator, stream
+from sigclust._streams import NULL_REP, OBSERVED, as_generator, null_generator, stream
 from sigclust.cluster import _best_splits, _start_pairs
 
 
@@ -471,6 +473,43 @@ class TestCompactNullFactor:
         )
 
 
+class TestPrelude:
+    """``_prelude`` forms one centred Gram matrix for the observed 2-means
+    and the sample spectrum; the public functions form their own."""
+
+    @pytest.mark.parametrize("d,n", [(400, 30), (12, 30)])
+    def test_matches_the_public_functions(self, d, n):
+        rng = np.random.default_rng(d)
+        x = DataMatrix(rng.normal(size=(d, n)) * rng.uniform(0.5, 4.0, size=(d, 1)))
+        config = make_config()
+        prelude = engine._prelude(x, config, ("sample", "combined"))
+        split = two_means_ci(x, config.restarts_observed, stream(config.master_seed, OBSERVED))
+        spectra, _ = engine.estimate_null_spectra(x, ("sample", "hard", "soft"))
+        assert prelude.ci_observed == split.ci
+        for arm, spectrum in spectra.items():
+            assert np.array_equal(prelude.spectra[arm].eigenvalues, spectrum.eigenvalues)
+            assert prelude.spectra[arm].sigma_n_sq == spectrum.sigma_n_sq
+
+    def test_constant_matrix_is_degenerate(self):
+        with pytest.raises(DegenerateDataError, match="total sum of squares is zero"):
+            engine._prelude(DataMatrix(np.full((50, 8), 1.5)), make_config(), ("hard",))
+
+    def test_peak_memory_on_a_wide_matrix(self):
+        # d >> n: the prelude's only d x n temporaries are the centred copy
+        # behind the Gram matrix and the MAD's deviations, one at a time.
+        # The bound was fixed before this test first ran; the d-space
+        # rescoring and the second centring used to peak at 2.0 matrices.
+        rng = np.random.default_rng(6)
+        x = DataMatrix(rng.normal(size=(8000, 60)))
+        tracemalloc.start()
+        try:
+            engine._prelude(x, make_config(), ("combined",))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * x.values.nbytes
+
+
 class TestRunTest:
     def test_report_invariants(self):
         rng = np.random.default_rng(10)
@@ -631,7 +670,7 @@ class TestRunTest:
             return wrapped
 
         monkeypatch.setattr(engine, "time", SimpleNamespace(perf_counter=lambda: clock.now))
-        monkeypatch.setattr(engine, "two_means_ci", ticking(engine.two_means_ci, [1.0]))
+        monkeypatch.setattr(engine, "_two_means", ticking(engine._two_means, [1.0]))
         monkeypatch.setattr(engine, "_simulate", ticking(engine._simulate, [10.0, 100.0]))
         rng = np.random.default_rng(20)
         x = DataMatrix(rng.normal(size=(5, 12)))

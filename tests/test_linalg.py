@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sigclust import DataMatrix, InvalidDataError, sample_spectrum
-from sigclust.linalg import EPS_EIG_REL
+from sigclust.linalg import EPS_EIG_REL, _centred_gram, _sample_spectrum
 
 
 @pytest.mark.parametrize("d,n", [(40, 17), (6, 30)])
@@ -108,3 +108,20 @@ def test_single_variable_spectrum_is_variance():
     spec = sample_spectrum(x)
     assert spec.eigenvalues.size == 1
     assert spec.eigenvalues[0] == pytest.approx(np.var([1.0, 2.0, 3.0, 6.0]), rel=1e-12)
+
+
+@pytest.mark.parametrize("d,n", [(300, 20), (21, 20), (20, 20), (7, 30)])
+def test_spectrum_from_the_shared_gram_is_the_direct_route(d, n):
+    # For d > n the eigenvalues come from the run's one centred Gram
+    # matrix, divided by n: bit for bit the covariance route's own product.
+    rng = np.random.default_rng(d + n)
+    x = DataMatrix(rng.normal(size=(d, n)) + rng.uniform(-5.0, 5.0, size=(d, 1)))
+    centered = x.values - x.values.mean(axis=1, keepdims=True)
+    direct = (centered.T @ centered) / n if d > n else (centered @ centered.T) / n
+    want = np.sort(np.linalg.eigvalsh(direct))[::-1]
+    want[want < EPS_EIG_REL * max(want[0], 0.0)] = 0.0
+    want[n - 1:] = 0.0
+    shared = _sample_spectrum(x, _centred_gram(x.values) if d > n else None)
+    for spec in (sample_spectrum(x), shared):
+        assert np.array_equal(spec.eigenvalues, want)
+        assert spec.trace == float(want.sum())

@@ -20,6 +20,7 @@ from sigclust import (
     sample_spectrum,
     soft_threshold,
 )
+from sigclust.spectrum import _MEDIAN_MIN_SIZE, _MEDIAN_SAMPLE, _median
 
 
 def spectrum_of(eigenvalues, d=None, n=10):
@@ -94,8 +95,90 @@ class TestEstimateNoise:
         else:
             noise = estimate_noise(x)
             assert noise.mad_raw == want
-            assert noise.sigma_n_sq == (want / MAD_STD_NORMAL) ** 2
+            # Squared as estimate_noise squares it: ``** 2`` goes through
+            # libm's pow, which is not always correctly rounded.
+            sigma_n = want / MAD_STD_NORMAL
+            assert noise.sigma_n_sq == sigma_n * sigma_n
         np.testing.assert_array_equal(x.values, before)
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+def _median_input(kind, size, rng):
+    if kind == "normal":
+        a = rng.normal(size=size)
+    elif kind == "sorted":
+        a = np.sort(rng.normal(size=size))
+    elif kind == "reversed":
+        a = np.sort(rng.normal(size=size))[::-1].copy()
+    elif kind == "ties":
+        a = rng.integers(0, 3, size=size).astype(np.float64)
+    elif kind == "small-int":
+        a = rng.integers(-20, 20, size=size).astype(np.float64)
+    else:  # "huge": the two middle entries near ±1.7e308 overflow their sum
+        a = rng.uniform(-1.0, 1.0, size=size) * 1.7e308
+        sign = rng.choice([-1.0, 1.0])
+        a[rng.permutation(size)[: size // 2]] = sign * rng.uniform(1.69e308, 1.7e308)
+    return a + 0.0  # no -0.0, whose sign np.partition may put either way
+
+
+class TestMedian:
+    """``_median`` is ``np.median`` bit for bit, whichever way it finds it."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        offset=st.integers(-3, 3),
+        scale=st.sampled_from([1, 3]),
+        kind=st.sampled_from(["normal", "sorted", "reversed", "ties", "small-int", "huge"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_np_median(self, offset, scale, kind, seed):
+        # Odd and even sizes on both sides of the size constant.
+        a = _median_input(kind, scale * _MEDIAN_MIN_SIZE + offset, np.random.default_rng(seed))
+        before = a.copy()
+        with np.errstate(over="ignore"):
+            want, got = np.median(a), _median(a)
+        assert _bits(got) == _bits(want)
+        np.testing.assert_array_equal(a, before)
+
+    def test_band_selection_runs_on_random_data(self, monkeypatch):
+        monkeypatch.setattr(np, "median", lambda a: pytest.fail("fell back to np.median"))
+        rng = np.random.default_rng(3)
+        for size in (_MEDIAN_MIN_SIZE, 2 * _MEDIAN_MIN_SIZE + 1):
+            a = rng.normal(size=size)
+            assert _bits(_median(a)) == _bits(np.sort(a)[[(size - 1) // 2, size // 2]].mean())
+
+    @pytest.mark.parametrize("size", [_MEDIAN_MIN_SIZE, _MEDIAN_MIN_SIZE + 1])
+    def test_sample_that_misses_falls_back(self, monkeypatch, size):
+        # Every sampled entry is 1.0 and every other one 0.0, so the band
+        # [1.0, 1.0] lies above the median's rank.
+        a = np.zeros(size)
+        a[:: size // _MEDIAN_SAMPLE] = 1.0
+        median, calls = np.median, []
+        monkeypatch.setattr(np, "median", lambda b: calls.append(b) or median(b))
+        assert _bits(_median(a)) == _bits(0.0)
+        assert len(calls) == 1 and calls[0] is a
+
+    def test_below_size_constant_is_np_median(self, monkeypatch):
+        a = np.random.default_rng(4).normal(size=_MEDIAN_MIN_SIZE - 1)
+        monkeypatch.setattr(np, "median", lambda b: "np.median")
+        assert _median(a) == "np.median"
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(400, 1500), n=st.integers(100, 200), seed=st.integers(0, 2**32 - 1))
+    def test_estimate_noise_matches_two_np_medians(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(d, n)) * rng.uniform(0.5, 3.0, size=(d, 1))
+        values[: d // 10] += rng.normal(0.0, 4.0, size=(d // 10, 1))
+        x = DataMatrix(values)
+        entries = x.values.ravel()
+        mad = float(np.median(np.abs(entries - np.median(entries))))
+        noise = estimate_noise(x)
+        assert noise.mad_raw == mad
+        sigma_n = mad / MAD_STD_NORMAL
+        assert noise.sigma_n_sq == sigma_n * sigma_n
 
 
 class TestHardThreshold:
