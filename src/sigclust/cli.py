@@ -190,6 +190,9 @@ def _cmd_test(args) -> int:
             labels_path=args.labels,
             filter_top_k=args.filter_top_k,
             out_dir=args.out,
+            header=args.header,
+            row_names=args.row_names,
+            true_eigenvalues_path=args.true_eigenvalues,
         )
         for path in emit_report(report, manifest):
             print(f"wrote: {path}")

@@ -20,11 +20,11 @@ observed statistic's one). Each restart still moving is one row, and a
 sweep multiplies each element's rows by its G in one product; a restart
 leaves in the sweep that stops it, scored from that sweep's terms. The
 observed statistic (float64) and the null replications (float32) share
-this one kernel, which runs in the dtype of the Gram matrices it is given.
-The observed winner is scored from the same G (``tss = tr G``, and wss
-from G's diagonal blocks), which a run also takes its sample spectrum
-from when d > n. :func:`cluster_index_for_labels` scores a given
-partition from the data instead, where n may be too large for G.
+this one kernel, which runs in the dtype of the Gram matrices it is given,
+and both take wss from its centroid identity and tss as ``tr G``. A run
+also takes its sample spectrum from the observed G when d > n.
+:func:`cluster_index_for_labels` scores a given partition from the data
+instead, where n may be too large for G.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import (
     InvalidDataError,
     InvalidLabelsError,
 )
-from .linalg import DataMatrix, _centred_gram
+from .linalg import DataMatrix, _centred, _centred_gram
 
 MAX_LLOYD_ITER = 300
 _DUPLICATE_RTOL = 1e-8  # relative gap below which two columns are compared exactly
@@ -60,17 +60,8 @@ class ClusterSplit:
 
 
 def _tss(values: np.ndarray) -> float:
-    centered = values - values.mean(axis=1, keepdims=True)
+    centered = _centred(values)
     return float((centered * centered).sum())
-
-
-def _wss(values: np.ndarray, labels: np.ndarray) -> float:
-    total = 0.0
-    for k in (1, 2):
-        cols = values[:, labels == k]
-        delta = cols - cols.mean(axis=1, keepdims=True)
-        total += float((delta * delta).sum())
-    return total
 
 
 def cluster_index_for_labels(x: DataMatrix, labels) -> ClusterSplit:
@@ -95,7 +86,7 @@ def cluster_index_for_labels(x: DataMatrix, labels) -> ClusterSplit:
     tss = _tss(x.values)
     if tss <= 0.0:
         raise DegenerateDataError("total sum of squares is zero; no cluster structure")
-    wss = _wss(x.values, labels)
+    wss = sum(_tss(x.values[:, labels == k]) for k in (1, 2))
     return ClusterSplit(labels=labels, wss=wss, tss=tss, ci=wss / tss)
 
 
@@ -241,12 +232,14 @@ def two_means_ci(x: DataMatrix, restarts: int = 20, seed=None) -> ClusterSplit:
     emptied cluster is refilled with the point farthest from the surviving
     centroid. The sweeps run in kernel form on the n-by-n Gram matrix G of
     the centered observations, in the null's kernel with this matrix as its
-    only element, in float64; the winning split is then scored from the
-    same G: ``tss = tr G`` and ``wss = Σ_k (tr G_kk - 1ᵀG_kk1 / n_k)``,
-    which equals :func:`cluster_index_for_labels` on the data to round-off.
-    A zero ``tss`` raises :class:`DegenerateDataError`. The clusters are
-    named canonically: cluster 1 holds the first observation, so restarts
-    that reach one partition with the names swapped give the same labels.
+    only element, in float64, and the winner is scored as every null index
+    is: ``tss = tr G`` and wss from the kernel's centroid identity
+    ``tr G - n1 w1ᵀGw1 - n2 w2ᵀGw2``. That equals
+    :func:`cluster_index_for_labels` on the data to absolute round-off, so
+    an index far below 1 keeps fewer correct digits. A zero ``tss`` raises
+    :class:`DegenerateDataError`. The clusters are named canonically:
+    cluster 1 holds the first observation, so restarts that reach one
+    partition with the names swapped give the same labels.
     The returned index is an upper bound on the global optimum and is
     deterministic given the seed.
     """
@@ -259,17 +252,12 @@ def _two_means(x: DataMatrix, gram: np.ndarray, restarts: int, seed) -> ClusterS
     """:func:`two_means_ci` of ``x`` given ``gram``, its ``_centred_gram``."""
     first, second = _start_pairs(x.n, restarts, as_generator(seed))
     gram = _guard_duplicates(x.values, gram)
-    in2, _ = _best_splits(gram[None], first[None], second[None])
+    in2, wss = _best_splits(gram[None], first[None], second[None])
     labels = np.where(in2[0] != in2[0, 0], 2, 1)
     tss = float(np.trace(gram))
     if tss <= 0.0:
         raise DegenerateDataError("total sum of squares is zero; no cluster structure")
-    wss = 0.0
-    for k in (1, 2):
-        members = np.flatnonzero(labels == k)
-        block = gram[np.ix_(members, members)]
-        wss += float(np.trace(block)) - float(block.sum()) / members.size
-    wss = max(wss, 0.0)  # round-off below zero
+    wss = float(wss[0])
     return ClusterSplit(labels=labels, wss=wss, tss=tss, ci=wss / tss)
 
 

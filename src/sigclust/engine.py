@@ -60,7 +60,7 @@ from .errors import (
     InvalidSpectraError,
     NoTraceSolutionError,
 )
-from .linalg import DataMatrix, _centred_gram, _sample_spectrum
+from .linalg import DataMatrix, _centred, _centred_gram, _sample_spectrum
 from .spectrum import (
     NullSpectrum,
     estimate_noise,
@@ -242,11 +242,6 @@ def _bulk_factor(rng, m, n, dtype=np.float64):
     return b.reshape(n, n)
 
 
-def _centred(rows):
-    """``rows`` less their row means, in ``rows``' dtype."""
-    return rows - rows.mean(axis=1, keepdims=True)
-
-
 def _null_grams(plan, n, rng, out):
     """Write one centred Gram matrix per arm, with the law of C ZᵀΛZ C
     (C = I - 11ᵀ/n), into ``out`` (arms, n, n).
@@ -368,17 +363,13 @@ def simulate_null_cis(spectrum: NullSpectrum, n: int, config: TestConfig) -> np.
 
 
 def estimate_null_spectra(
-    x: DataMatrix, arms, true_eigenvalues: np.ndarray | None = None
+    x: DataMatrix, arms, true_eigenvalues: np.ndarray | None = None, gram=None
 ) -> tuple[dict[str, NullSpectrum], list[str]]:
     """Null spectra for the ``arms`` among "sample", "hard", "soft" and
     "true", plus warnings. The soft arm falls back to the flat,
-    trace-preserving spectrum when no soft offset matches the trace."""
-    return _null_spectra(x, arms, true_eigenvalues, None)
-
-
-def _null_spectra(x, arms, true_eigenvalues, gram):
-    """:func:`estimate_null_spectra`, its sample spectrum taken from
-    ``gram``, the ``_centred_gram`` of ``x.values``, when that is not None."""
+    trace-preserving spectrum when no soft offset matches the trace. For
+    d > n the sample spectrum comes from ``gram``, the ``_centred_gram`` of
+    ``x.values``, formed here when None."""
     spectra: dict[str, NullSpectrum] = {}
     warnings: list[str] = []
     if {"sample", "hard", "soft"} & set(arms):
@@ -473,7 +464,7 @@ def _prelude(x, config, methods) -> _Prelude:
         if x.d <= x.n:
             gram = None  # the spectrum comes from the d x d covariance
     arms = _arms(methods)
-    spectra, warnings = _null_spectra(x, arms, config.true_eigenvalues, gram)
+    spectra, warnings = estimate_null_spectra(x, arms, config.true_eigenvalues, gram)
     if x.n == 2:
         warnings.append(
             "n=2: every split puts one observation in each cluster, so the observed "

@@ -27,7 +27,7 @@ from .engine import (
     check_workers, resolve_seed,
 )
 from .errors import InvalidConfigError, ParseError, SigClustError
-from .io import _open_text
+from .io import _open_text, _write_csv
 from .linalg import DataMatrix
 
 MODES = ("none", "first", "all")
@@ -323,11 +323,7 @@ def summary_rows(grid: GridSummary) -> tuple[list[str], list[list]]:
 
 def write_summary_csv(grid: GridSummary, path) -> None:
     """Wide per-scenario table: mean, P5, and P10 columns for each method."""
-    head, rows = summary_rows(grid)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(head)
-        writer.writerows(rows)
+    _write_csv(path, *summary_rows(grid))
 
 
 def write_summary_json(grid: GridSummary, path) -> None:

@@ -72,6 +72,9 @@ class RunManifest:
     labels_path: str | None = None
     filter_top_k: int | None = None
     out_dir: str | None = None
+    header: str = "auto"
+    row_names: str = "auto"
+    true_eigenvalues_path: str | None = None
 
 
 def _floats(cells) -> bool:
@@ -196,11 +199,11 @@ def _read_split(path, bounds, usecols, width):
     rows into one anonymous shared mapping; the parent reads the first part
     meanwhile. A part is rejected as ``_read_range`` rejects it, and also
     when it holds only blank lines. A child exits 0 once its rows are
-    written and 1 when its part is rejected. The parent reads again the
-    part of a child that ends any other way, so a failed child costs time
-    but changes no value, warning or error. Every child has ended when this
-    returns or raises. Returns a view of the mapping, which lives as long
-    as the view, or None when any part is rejected.
+    written and 1 otherwise, and the parent reads the part of any child
+    that did not exit 0 again: a failed child costs time but changes no
+    value, warning or error. Every child has ended when this returns or
+    raises. Returns a view of the mapping, which lives as long as the view,
+    or None when any part is rejected.
     """
     rows = bounds[-1] - bounds[0]
     values = np.frombuffer(mmap.mmap(-1, rows * width * 8), np.float64).reshape(rows, width)
@@ -230,20 +233,18 @@ def _read_split(path, bounds, usecols, width):
                     "ignore", r"This process .* is multi-threaded", DeprecationWarning)
                 pid = os.fork()
             if pid == 0:
-                code = 2
+                ok = False
                 try:
                     _pywarnings.simplefilter("error")  # a warning: the parent reads again
-                    code = 0 if fill(start, stop) else 1
+                    ok = fill(start, stop)
                 finally:
-                    os._exit(code)
+                    os._exit(0 if ok else 1)
             children[pid] = (start, stop)
         if not fill(bounds[0], bounds[1]):
             return None
         for pid in list(children):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             start, stop = children.pop(pid)
-            if code == 1:
-                return None
             if code and not fill(start, stop):
                 return None
         return values
@@ -505,6 +506,14 @@ def report_to_dict(report: TestReport, manifest: RunManifest | None = None) -> d
     }
 
 
+def _write_csv(path, head, rows) -> None:
+    """Write a CSV table to ``path``: the row ``head``, then ``rows``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(head)
+        writer.writerows(rows)
+
+
 def emit_report(report: TestReport, manifest: RunManifest) -> list[Path]:
     """Write the JSON report plus CSV twins into the manifest's out_dir.
 
@@ -521,18 +530,12 @@ def emit_report(report: TestReport, manifest: RunManifest) -> list[Path]:
         fh.write("\n")
 
     cis_path = out_dir / "null_cis.csv"
-    with open(cis_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rep", "ci"])
-        for r, ci in enumerate(report.null_cis):
-            writer.writerow([r, repr(float(ci))])
+    _write_csv(cis_path, ["rep", "ci"],
+               ([r, repr(float(ci))] for r, ci in enumerate(report.null_cis)))
 
     ecdf_path = out_dir / "null_ci_ecdf.csv"
-    sorted_cis = np.sort(report.null_cis)
-    with open(ecdf_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "ci", "quantile"])
-        for r, ci in enumerate(sorted_cis, start=1):
-            writer.writerow([r, repr(float(ci)), repr(r / (report.n_sim + 1))])
+    _write_csv(ecdf_path, ["rank", "ci", "quantile"],
+               ([r, repr(float(ci)), repr(r / (report.n_sim + 1))]
+                for r, ci in enumerate(np.sort(report.null_cis), start=1)))
 
     return [report_path, cis_path, ecdf_path]

@@ -75,13 +75,18 @@ class EigenSpectrum:
         return out
 
 
+def _centred(values: np.ndarray) -> np.ndarray:
+    """``values`` less their row means, in ``values``' dtype."""
+    return values - values.mean(axis=1, keepdims=True)
+
+
 def _centred_gram(values: np.ndarray) -> np.ndarray:
     """Gram matrix ``XcᵀXc`` (n by n) of the row-centred columns of ``values``.
 
     This is the one product over the d x n matrix that the 2-means search,
     the observed index and, for d > n, the sample spectrum all start from.
     """
-    centered = values - values.mean(axis=1, keepdims=True)
+    centered = _centred(values)
     return centered.T @ centered
 
 
@@ -106,7 +111,7 @@ def _sample_spectrum(x: DataMatrix, gram: np.ndarray | None) -> EigenSpectrum:
         gram = _centred_gram(x.values) if gram is None else gram
         evals = np.linalg.eigvalsh(gram / n)
     else:
-        centered = x.values - x.values.mean(axis=1, keepdims=True)
+        centered = _centred(x.values)
         evals = np.linalg.eigvalsh((centered @ centered.T) / n)
     evals = np.sort(evals)[::-1].copy()
     top = max(float(evals[0]), 0.0)

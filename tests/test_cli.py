@@ -200,6 +200,29 @@ def test_true_method_with_spectrum_file(matrix_file, tmp_path, capsys):
     assert code == EXIT_OK
 
 
+def test_report_echoes_every_input_setting(tmp_path):
+    # A file with a header and row names, read with both pinned, under the
+    # true spectrum: the report's config must name all three settings.
+    values = np.random.default_rng(22).normal(size=(12, 10))
+    path = tmp_path / "named.csv"
+    path.write_text("\n".join(
+        ["gene," + ",".join(f"s{j}" for j in range(10))]
+        + [f"g{i}," + ",".join(map(repr, map(float, row))) for i, row in enumerate(values)]
+    ) + "\n")
+    spec = tmp_path / "true.txt"
+    spec.write_text("\n".join(["1.0"] * 12) + "\n")
+    out = tmp_path / "out"
+    code = main(["test", str(path), "--header", "yes", "--row-names", "yes",
+                 "--method", "true", "--true-eigenvalues", str(spec), "--nsim", "100",
+                 "--seed", "2", "--out", str(out)])
+    assert code == EXIT_OK
+    config = json.loads((out / "report.json").read_text())["config"]
+    assert config["header"] == "yes"
+    assert config["row_names"] == "yes"
+    assert config["true_eigenvalues_path"] == str(spec)
+    assert config["method"] == "true"
+
+
 def test_filter_top_k(matrix_file, capsys):
     code = main(["test", str(matrix_file), "--method", "sample", "--nsim", "100",
                  "--seed", "1", "--filter-top-k", "10"])

@@ -181,6 +181,24 @@ class TestObservedScoreFromGram:
         assert split.tss == pytest.approx(scored.tss, rel=1e-12)
         assert 0.0 <= split.wss <= split.tss
 
+    @pytest.mark.parametrize("outlier", [False, True], ids=["spread", "one-far-outlier"])
+    @pytest.mark.parametrize("offset", [0.0, 1e6, -3e4])
+    @pytest.mark.parametrize("d, n", [(500, 300), (50, 800), (3000, 60), (5, 1500)])
+    def test_kernel_score_matches_d_space_index(self, d, n, offset, outlier):
+        # The winner's wss is the kernel's centroid identity on G; the
+        # reference centres each cluster in d-space. Far from the origin,
+        # with n up to 1500 and with a cluster of one point, they must agree.
+        rng = np.random.default_rng(d * n)
+        values = rng.standard_normal((d, n))
+        values[: max(1, d // 10), : n // 3] += 1.5
+        if outlier:
+            values[:, n // 2] += 1e3
+        x = DataMatrix(values + offset)
+        split = two_means_ci(x, seed=1)
+        if outlier:
+            assert np.count_nonzero(split.labels == split.labels[n // 2]) == 1
+        assert abs(split.ci - cluster_index_for_labels(x, split.labels).ci) <= 1e-14
+
 
 class TestBatchedKernelAgainstReference:
     """The Gram-form kernel against the original d-space Lloyd."""

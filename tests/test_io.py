@@ -393,20 +393,20 @@ def _assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-# Edits of TestSplitRead._matrix's lines, each in the last third of its
-# 30 data lines and each with as many commas as the file had: the plain-file
-# scan passes them, and the C reader meets them.
-def _bad_cell(lines):
-    lines[28] = lines[28].replace(",", ",x", 1)
+# Edits of TestSplitRead._matrix's lines, at line ``at`` (by default in the
+# last third of its 30 data lines) and each with as many commas as the file
+# had: the plain-file scan passes them, and the C reader meets them.
+def _bad_cell(lines, at=28):
+    lines[at] = lines[at].replace(",", ",x", 1)
 
 
-def _blank_line(lines):
-    lines.insert(27, "")
+def _blank_line(lines, at=27):
+    lines.insert(at, "")
     lines[29] += ",1,1,1"  # extra cells, which usecols drops
 
 
-def _ragged_rows(lines):
-    lines[25] = lines[25].rsplit(",", 1)[0]
+def _ragged_rows(lines, at=25):
+    lines[at] = lines[at].rsplit(",", 1)[0]
     lines[29] += ",1"
 
 
@@ -473,6 +473,36 @@ class TestSplitRead:
         forks = self._forks(monkeypatch)
         assert _outcome(load_matrix, path) == want
         assert len(forks) == 2
+
+    @pytest.mark.parametrize("edit", [
+        _bad_cell, _blank_line, _ragged_rows,
+    ], ids=["bad-cell", "blank-line", "ragged-rows"])
+    def test_error_in_the_first_part_is_the_serial_error(self, tmp_path, monkeypatch, edit):
+        # The first part is the parent's own; its children are still reaped.
+        path = self._matrix(tmp_path, edit=lambda lines: edit(lines, at=5))
+        want = _outcome(load_matrix, path)
+        assert want[0][0] is ParseError
+        self._split(monkeypatch, 3)
+        forks = self._forks(monkeypatch)
+        assert _outcome(load_matrix, path) == want
+        assert len(forks) == 2
+
+    def test_part_a_child_rejects_is_read_again(self, tmp_path, monkeypatch):
+        # A child exits 1 on a rejected part as on any failure, and the
+        # parent's own read of that part decides.
+        path = self._matrix(tmp_path, edit=_bad_cell)
+        want = _outcome(load_matrix, path)
+        me, real, reads = os.getpid(), sigclust_io._read_range, []
+
+        def read_range(path, start, stop, *rest):
+            if os.getpid() == me:
+                reads.append((start, stop))
+            return real(path, start, stop, *rest)
+
+        monkeypatch.setattr(sigclust_io, "_read_range", read_range)
+        self._split(monkeypatch, 3)
+        assert _outcome(load_matrix, path) == want
+        assert reads == [(1, 11), (21, 31)]  # its own part, then the last child's
 
     def test_part_of_blank_lines_is_the_serial_error(self, tmp_path, monkeypatch):
         # numpy's reader warns on a part with no data; that must not show.
