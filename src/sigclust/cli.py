@@ -18,7 +18,6 @@ dead worker process, 130 interrupted, 141 stdout closed by its reader
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import os
 import sys
@@ -45,6 +44,7 @@ from .harness import (
 )
 from .io import (
     RunManifest,
+    _write_csv,
     emit_report,
     filter_variables,
     load_eigenvalue_file,
@@ -229,10 +229,7 @@ def _cmd_simulate(args) -> int:
         print(f"wrote: {out_dir / 'summary.csv'}")
         print(f"wrote: {out_dir / 'summary.json'}")
     else:
-        head, rows = summary_rows(grid)
-        writer = csv.writer(sys.stdout)
-        writer.writerow(head)
-        writer.writerows(rows)
+        _write_csv(sys.stdout, *summary_rows(grid))
     return EXIT_OK
 
 

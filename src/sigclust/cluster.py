@@ -11,14 +11,19 @@ The index is invariant to location and rotation, so it depends on the data
 only through the n-by-n Gram matrix ``G = XcᵀXc`` of the centered columns.
 The 2-means search therefore runs as kernel k-means on ``G`` (Dhillon, Guan
 and Kulis, KDD 2004): with ``w_k`` cluster k's indicator divided by its
-size, the margin ``G(w1 - w2) - (w1ᵀGw1 - w2ᵀGw2) / 2`` is the difference
+size n_k, the margin ``G(w1 - w2) - (w1ᵀGw1 - w2ᵀGw2) / 2`` is the difference
 of squared distances to the two centroids. Every term comes from the
-product ``s = in2 @ G`` of the cluster-2 indicators with G and from G's
-row sums t: ``G w2 = s / n2`` and ``G w1 = (t - s) / n1``. The kernel runs
+product ``s = in2 @ G`` of the cluster-2 indicators with G, ``q = in2ᵀs``
+and G's row sums t: ``G w2 = s / n2``, ``G w1 = (t - s) / n1``. Centring
+makes t zero, so the margin is ``-n (s - θ) / (n1 n2)`` with
+``θ = q (n1 - n2) / (2 n1 n2)``: point i joins cluster 2 iff ``s_i > θ``,
+one threshold per restart. t is zero only up to round-off, and enters the
+score alone, as computed: ``wss = tr G - n1 w1ᵀGw1 - n2 w2ᵀGw2`` with
+``w1ᵀGw1 = (Σt - 2 Σs + q) / n1²`` and ``w2ᵀGw2 = q / n2²``. The kernel runs
 on a stack of Gram matrices (one per null replication and arm, or the
 observed statistic's one). Each restart still moving is one row, and a
 sweep multiplies each element's rows by its G in one product; a restart
-leaves in the sweep that stops it, scored from that sweep's terms. The
+leaves in the sweep that stops it, scored from that sweep's s. The
 observed statistic (float64) and the null replications (float32) share
 this one kernel, which runs in the dtype of the Gram matrices it is given,
 and both take wss from its centroid identity and tss as ``tr G``. A run
@@ -90,12 +95,6 @@ def cluster_index_for_labels(x: DataMatrix, labels) -> ClusterSplit:
     return ClusterSplit(labels=labels, wss=wss, tss=tss, ci=wss / tss)
 
 
-def _gram(values: np.ndarray) -> np.ndarray:
-    """Gram matrix ``XcᵀXc`` of the grand-mean-centered columns (n by n),
-    with :func:`_guard_duplicates` applied."""
-    return _guard_duplicates(values, _centred_gram(values))
-
-
 def _guard_duplicates(values: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """``gram``, the ``_centred_gram`` of ``values``, with exact ties kept.
 
@@ -128,15 +127,6 @@ def _start_pairs(n: int, restarts: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return i, j + (j >= i)  # uniform over distinct pairs
 
 
-def _refill_empty(in2: np.ndarray, far: np.ndarray) -> None:
-    # An emptied cluster takes the point farthest from the surviving
-    # centroid, which is then the grand mean: the point of largest G_ii.
-    n2 = in2.sum(axis=1)
-    for size, fill in ((in2.shape[1], False), (0, True)):
-        rows = np.flatnonzero(n2 == size)
-        in2[rows, far[rows]] = fill
-
-
 def _products(grams: np.ndarray, elem: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``mask[i] @ grams[elem[i]]`` for each row i, one product per element
     over its rows; ``elem`` is sorted, so each element's rows are adjacent."""
@@ -147,42 +137,18 @@ def _products(grams: np.ndarray, elem: np.ndarray, mask: np.ndarray) -> np.ndarr
     return s
 
 
-def _centroid_terms(grams: np.ndarray, rowsums: np.ndarray, elem: np.ndarray, in2: np.ndarray):
-    """``G w1``, ``G w2`` (L, n) and ``w1ᵀG w1``, ``w2ᵀG w2`` (L, 1).
-
-    Row i of ``in2`` (L, n) marks cluster 2 of a restart of element
-    ``elem[i]``, whose Gram matrix is ``grams[elem[i]]`` with row sums t
-    ``rowsums[elem[i]]``; cluster k's centroid is ``Xc @ w_k`` with ``w_k``
-    its indicator divided by its size ``n_k``. One product ``s = in2 @ G``
-    per row gives every term, as G is symmetric: with ``q = in2ᵀs`` and
-    ``in2ᵀt = 1ᵀs``, ``G w2 = s / n2``, ``G w1 = (t - s) / n1``,
-    ``w2ᵀG w2 = q / n2²`` and ``w1ᵀG w1 = (Σt - 2 in2ᵀt + q) / n1²``.
-    Centring makes t zero only up to round-off, which grows with the data's
-    distance from the origin, so t is used as computed and the terms hold
-    for the G at hand.
-    """
-    mask = in2.astype(grams.dtype)
-    s = _products(grams, elem, mask)
-    n2 = mask.sum(axis=1, keepdims=True)
-    n1 = in2.shape[1] - n2
-    q = (mask * s).sum(axis=1, keepdims=True)
-    t = rowsums[elem]
-    sq1 = (t.sum(axis=1, keepdims=True) - 2.0 * s.sum(axis=1, keepdims=True) + q) / (n1 * n1)
-    return (t - s) / n1, s / n2, sq1, q / (n2 * n2)
-
-
 def _lloyd(grams: np.ndarray, first: np.ndarray, second: np.ndarray):
     """Cluster-2 memberships (M, R, n) and wss (M, R) of one Lloyd run per
     start pair. ``grams`` stacks M centred Gram matrices and ``first`` and
     ``second`` (M, R) hold each element's start pairs. Each (element,
-    restart) still moving is one row, grouped by element, and a sweep
-    multiplies each element's rows by its Gram matrix once. A restart
-    leaves in the sweep that finds its labels unchanged, scored from that
-    sweep's terms by the centroid identity ``wss = tr G - n1 w1ᵀG w1 -
-    n2 w2ᵀG w2``; one still moving after ``MAX_LLOYD_ITER`` sweeps is
-    refilled and scored in one more. The sweeps run in the Gram matrices'
-    dtype (float32 in the null, float64 for the observed statistic); the
-    trace and wss are float64.
+    restart) still moving is one row, grouped by element; a sweep multiplies
+    each element's rows by its Gram matrix once and labels them by their θ
+    (module docstring), a point with ``s_i = θ`` keeping its label. A
+    restart leaves in the sweep that finds its labels unchanged, scored from
+    that sweep's s by the centroid identity, the one use of t; one still
+    moving after ``MAX_LLOYD_ITER`` sweeps is refilled and scored in one
+    more. The sweeps run in the Gram matrices' dtype (float32 in the null,
+    float64 for the observed statistic); the trace and wss are float64.
     """
     m, r = first.shape
     n = grams.shape[1]
@@ -193,24 +159,44 @@ def _lloyd(grams: np.ndarray, first: np.ndarray, second: np.ndarray):
     g = (grams[elem, first] - grams[elem, second]
          - 0.5 * (diag[elem, first] - diag[elem, second])[:, :, None])
     cur = (g < 0.0).reshape(m * r, n)
-    in2, wss = np.empty((m, r, n), dtype=bool), np.empty((m, r))
-    rowsums, trace = grams.sum(axis=2), np.trace(grams, axis1=1, axis2=2, dtype=np.float64)
-    elem, restart = np.divmod(np.arange(m * r), r)
+    in2 = np.empty((m * r, n), dtype=bool)
+    # what the centroid identity needs of each restart's last sweep
+    ssum, q_last, n2_last = (np.empty(m * r, dtype=grams.dtype) for _ in range(3))
+    pos = np.arange(m * r)  # row of each restart in the outputs
+    elem = pos // r
     for sweep in range(MAX_LLOYD_ITER + 1):  # the last one only scores
-        _refill_empty(cur, far[elem])
-        gw1, gw2, sq1, sq2 = _centroid_terms(grams, rowsums, elem, cur)
-        g = gw1 - gw2 - 0.5 * (sq1 - sq2)
-        new = (g < 0.0) | ((g == 0.0) & cur)  # ties keep their label
+        mask = cur.astype(grams.dtype)
+        n2 = mask.sum(axis=1, keepdims=True)
+        if n2.min() == 0 or n2.max() == n:
+            # An emptied cluster takes the point farthest from the surviving
+            # centroid, which is then the grand mean: the point of largest G_ii.
+            for size, fill, count in ((n, False, n - 1), (0, True, 1)):
+                rows = np.flatnonzero(n2[:, 0] == size)
+                cur[rows, far[elem[rows]]] = fill
+                n2[rows] = count
+            mask = cur.astype(grams.dtype)
+        s = _products(grams, elem, mask)
+        q = (mask * s).sum(axis=1, keepdims=True)
+        theta = q * (n - 2.0 * n2) / (2.0 * (n - n2) * n2)
+        new = s > theta
+        new |= (s == theta) & cur  # ties keep their label
         moved = (new != cur).any(axis=1) & (sweep < MAX_LLOYD_ITER)
         stop = ~moved
-        e, k, n2 = elem[stop], restart[stop], cur[stop].sum(axis=1)
-        in2[e, k] = cur[stop]
-        # wss via the centroid identity; clamp round-off below zero
-        wss[e, k] = np.maximum(trace[e] - (n - n2) * sq1[stop, 0] - n2 * sq2[stop, 0], 0.0)
-        elem, restart, cur = elem[moved], restart[moved], new[moved]
+        p = pos[stop]
+        in2[p], ssum[p], q_last[p], n2_last[p] = (
+            cur[stop], s[stop].sum(axis=1), q[stop, 0], n2[stop, 0])
+        elem, pos, cur = elem[moved], pos[moved], new[moved]
         if not elem.size:
             break
-    return in2, wss
+    # wss via the centroid identity, in float64; clamp round-off below zero
+    total = np.repeat(grams.sum(axis=2).sum(axis=1), r)  # Σt
+    trace = np.repeat(np.trace(grams, axis1=1, axis2=2, dtype=np.float64), r)
+    n1 = n - n2_last
+    sq1 = (total - 2.0 * ssum + q_last) / (n1 * n1)
+    sq2 = q_last / (n2_last * n2_last)
+    n2 = n2_last.astype(np.float64)
+    wss = np.maximum(trace - (n - n2) * sq1 - n2 * sq2, 0.0)
+    return in2.reshape(m, r, n), wss.reshape(m, r)
 
 
 def _best_splits(grams: np.ndarray, first: np.ndarray, second: np.ndarray):

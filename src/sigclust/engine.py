@@ -44,11 +44,14 @@ the null's own spread. The observed statistic stays float64.
 from __future__ import annotations
 
 import math
+import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -204,8 +207,8 @@ def gaussian_p(ci_observed: float, null_mean: float, null_sd: float) -> float:
     return float(min(max(p, tiny), 1.0 - np.finfo(np.float64).epsneg))
 
 
-def _compact_plan(spectra, n):
-    """(d, K, per-arm sqrt of the leading eigenvalues, per-arm floor).
+def _compact_plan(spectra, n, dtype=np.float64):
+    """(d, K, per-arm sqrt of the leading eigenvalues (``dtype``), per-arm floor).
 
     K = min(d, n) whatever the arms are, so an arm's draws never depend on
     the other arms of the run. An arm whose spectrum is flat at its own
@@ -215,7 +218,8 @@ def _compact_plan(spectra, n):
     d = spectra[0].d
     k = min(d, n)
     lams = [s.eigenvalues for s in spectra]
-    heads = tuple(np.sqrt(lam[: max(k, np.count_nonzero(lam > lam[-1]))]) for lam in lams)
+    heads = tuple(np.sqrt(lam[: max(k, np.count_nonzero(lam > lam[-1]))]).astype(dtype)
+                  for lam in lams)
     floors = tuple(float(lam[-1]) for lam in lams)
     return d, k, heads, floors
 
@@ -251,11 +255,11 @@ def _null_grams(plan, n, rng, out):
     so one with a zero floor (the sample spectrum) keeps only its leading
     rows. A wide arm draws its rows past K and its own bulk from the stream
     as it stands after the shared draws, the same point for every wide arm.
-    The normals, the centring, h and the products are in ``out``'s dtype
-    (float32 in the null, on unit-mean spectra), the chi-square draws in
-    float64; a float64 ``out`` keeps every step float64. Continuous draws
-    have no exact duplicate columns, so, unlike the observed statistic's
-    ``_gram``, no duplicate guard runs.
+    The normals, the centring, the plan's h and the products, written
+    straight into ``out`` (floor·BcᵀBc added in place), are in ``out``'s
+    dtype (float32 in the null, on unit-mean spectra), the chi-square draws
+    in float64. Continuous draws have no exact duplicate columns, so, unlike
+    the observed statistic's, no duplicate guard runs.
     """
     d, k, heads, floors = plan
     dtype = out.dtype
@@ -265,7 +269,6 @@ def _null_grams(plan, n, rng, out):
     shared_end = rng.bit_generator.state if any(h.size > k for h in heads) else None
     bulk_gram = bulk.T @ bulk
     for e, (head, floor) in enumerate(zip(heads, floors)):
-        head = head.astype(dtype, copy=False)
         rows, own_gram = head[:k, None] * zc, bulk_gram
         if head.size > k:
             rng.bit_generator.state = shared_end
@@ -273,7 +276,9 @@ def _null_grams(plan, n, rng, out):
             rows = np.vstack([rows, head[k:, None] * extra])
             own = _centred(_bulk_factor(rng, d - head.size, n, dtype))
             own_gram = own.T @ own
-        out[e] = rows.T @ rows + floor * own_gram
+        np.matmul(rows.T, rows, out=out[e])
+        if floor:
+            out[e] += floor * own_gram
 
 
 def _block_cis(plan, n, master_seed, restarts, reps):
@@ -314,8 +319,20 @@ def _block_size(n, arms):
 
 
 def _pool(workers):
-    """A process pool for ``workers`` > 1, else a null context (None)."""
-    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    """A process pool for ``workers`` > 1, else a null context (None). Its
+    workers fork where ``io`` forks (Linux), else start the platform's way."""
+    if workers == 1:
+        return nullcontext()
+    method = "fork" if hasattr(os, "sched_getaffinity") else None
+    return ProcessPoolExecutor(max_workers=workers, mp_context=get_context(method))
+
+
+@contextmanager
+def _quiet_fork():
+    """Ignore Python 3.12+'s warning at a fork while threads (OpenBLAS's) run."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+        yield
 
 
 def _unit_mean(spectrum):
@@ -331,14 +348,15 @@ def _simulate(spectra, n, config, pool=None):
     arm scaled to a mean eigenvalue of 1. Blocks map on the caller's
     ``pool`` (``run_tests`` opens one per call, ``harness.run_grid`` one per
     grid), or run serially when it is None."""
-    plan = _compact_plan([_unit_mean(s) for s in spectra], n)
+    plan = _compact_plan([_unit_mean(s) for s in spectra], n, _NULL_DTYPE)
     size = _block_size(n, len(spectra))
     blocks = [range(s, min(s + size, config.n_sim)) for s in range(0, config.n_sim, size)]
     one_block = partial(_block_cis, plan, n, config.master_seed, config.restarts_null)
-    # Executor.map yields in input order, so rows stay in replication
-    # order for any worker count.
-    rows = list((map if pool is None else pool.map)(one_block, blocks))
-    cis = np.concatenate(rows)
+    # Executor.map submits every block at once, and yields in input order,
+    # so rows stay in replication order for any worker count.
+    with _quiet_fork():
+        rows = (map if pool is None else pool.map)(one_block, blocks)
+    cis = np.concatenate(list(rows))
     return tuple(cis[:, k].copy() for k in range(len(spectra)))
 
 

@@ -27,7 +27,7 @@ import os
 import signal
 import threading
 import warnings as _pywarnings
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engine import TestConfig, TestReport
+from .engine import TestConfig, TestReport, _quiet_fork
 from .errors import InvalidConfigError, InvalidLabelsError, ParseError
 from .linalg import DataMatrix
 from .spectrum import NullSpectrum
@@ -224,13 +224,9 @@ def _read_split(path, bounds, usecols, width):
     children = {}  # pid: (start, stop)
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
-            with _pywarnings.catch_warnings():
-                # Python 3.12+ warns that fork() in a process with threads
-                # may deadlock the child; OpenBLAS's pool counts. The child
-                # only parses its own file handle with numpy's C reader and
-                # leaves by os._exit, with no BLAS call in between.
-                _pywarnings.filterwarnings(
-                    "ignore", r"This process .* is multi-threaded", DeprecationWarning)
+            # The child only parses its own file handle with numpy's C reader
+            # and leaves by os._exit, with no BLAS call in between.
+            with _quiet_fork():
                 pid = os.fork()
             if pid == 0:
                 ok = False
@@ -506,9 +502,9 @@ def report_to_dict(report: TestReport, manifest: RunManifest | None = None) -> d
     }
 
 
-def _write_csv(path, head, rows) -> None:
-    """Write a CSV table to ``path``: the row ``head``, then ``rows``."""
-    with open(path, "w", newline="") as fh:
+def _write_csv(target, head, rows) -> None:
+    """Write the row ``head``, then ``rows``, as CSV to a path or an open stream."""
+    with nullcontext(target) if hasattr(target, "write") else open(target, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(head)
         writer.writerows(rows)

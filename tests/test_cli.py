@@ -344,6 +344,19 @@ def test_simulate_to_stdout(tmp_path, capsys):
     assert stdout.startswith("v,w,d,n,a,mode,reps,n_sim")
 
 
+def test_simulate_stdout_is_the_summary_csv(tmp_path):
+    # Both tables go through one CSV writer: the stdout bytes, line ends
+    # included, are those of summary.csv.
+    scenario = tmp_path / "scenario.csv"
+    scenario.write_text("v,w,d,n,a,mode,reps,n_sim\n5,1,10,10,0,none,2,100\n")
+    argv = ["simulate", "--scenario", str(scenario), "--methods", "sample,hard", "--seed", "5"]
+    proc = subprocess.run([sys.executable, "-m", "sigclust", *argv],
+                          capture_output=True, env=_module_env(), timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_OK
+    assert proc.stdout == (tmp_path / "out" / "summary.csv").read_bytes()
+
+
 def test_simulate_with_two_workers_leaves_no_process(tmp_path, capsys):
     scenario = tmp_path / "scenario.csv"
     scenario.write_text("v,w,d,n,a,mode,reps,n_sim\n5,1,10,10,0,none,2,100\n1,0,10,10,0,none,2,100\n")

@@ -174,7 +174,7 @@ class TestObservedScoreFromGram:
         x = DataMatrix(values)
         split = two_means_ci(x, restarts=restarts, seed=np.random.default_rng(seed))
         first, second = cluster._start_pairs(n, restarts, np.random.default_rng(seed))
-        in2, _ = cluster._best_splits(cluster._gram(x.values)[None], first[None], second[None])
+        in2, _ = cluster._best_splits(reference.gram(x.values)[None], first[None], second[None])
         assert np.array_equal(split.labels, np.where(in2[0] != in2[0, 0], 2, 1))
         scored = cluster_index_for_labels(x, split.labels)
         assert abs(split.ci - scored.ci) <= 1e-13
@@ -227,7 +227,7 @@ class TestBatchedKernelAgainstReference:
             ref_labels, ref_wss = reference.best_split(
                 values, restarts, np.random.default_rng(seed)
             )
-            gram = cluster._gram(values)[None]
+            gram = reference.gram(values)[None]
             first, second = cluster._start_pairs(n, restarts, np.random.default_rng(seed))
             in2 = cluster._lloyd(gram, first[None], second[None])[0][0]
             _, kernel_wss = cluster._best_splits(gram, first[None], second[None])
@@ -255,7 +255,7 @@ class TestBatchedKernelAgainstReference:
         in2 = rng.random((3, 6, 15)) < 0.4
         in2[..., 0], in2[..., 1] = True, False
         elem = np.repeat(np.arange(3), 6)
-        got = cluster._centroid_terms(grams, grams.sum(axis=2), elem, in2.reshape(18, 15))
+        got = reference.centroid_terms(grams, grams.sum(axis=2), elem, in2.reshape(18, 15))
         w1 = ~in2 / (~in2).sum(axis=2, keepdims=True)
         w2 = in2 / in2.sum(axis=2, keepdims=True)
         gw1, gw2 = w1 @ grams, w2 @ grams
@@ -282,7 +282,7 @@ class TestBatchedKernelAgainstReference:
         # the stacked run while the others keep moving.
         grams, firsts, seconds = [], [], []
         for d, distinct, seed in shapes:
-            grams.append(cluster._gram(_columns(d, n, distinct, seed)))
+            grams.append(reference.gram(_columns(d, n, distinct, seed)))
             i, j = cluster._start_pairs(n, restarts, np.random.default_rng(seed))
             firsts.append(i)
             seconds.append(j)
@@ -307,7 +307,7 @@ class TestBatchedKernelAgainstReference:
         n, restarts = 30, 12
         shapes = [(60, 30, 0), (2, 3, 1), (1, 2, 2), (300, 30, 3), (8, 30, 4)]
         values = [_columns(d, n, distinct, seed) for d, distinct, seed in shapes]
-        grams = np.array([cluster._gram(v) for v in values])
+        grams = np.array([reference.gram(v) for v in values])
         firsts, seconds = np.array(
             [cluster._start_pairs(n, restarts, np.random.default_rng(seed))
              for _, _, seed in shapes]
@@ -385,7 +385,7 @@ class TestBatchedKernelAgainstReference:
             rng = np.random.default_rng(data_seed)
             lam = np.ones(d)
             lam[:min(spikes, d)] = rng.uniform(1.5, 30.0, min(spikes, d))
-            grams.append(cluster._gram(np.sqrt(lam)[:, None] * rng.standard_normal((d, n))))
+            grams.append(reference.gram(np.sqrt(lam)[:, None] * rng.standard_normal((d, n))))
             i, j = cluster._start_pairs(n, restarts, rng)
             firsts.append(i)
             seconds.append(j)
@@ -396,6 +396,45 @@ class TestBatchedKernelAgainstReference:
         index = wss / np.trace(grams, axis1=1, axis2=2)
         index32 = wss32 / np.trace(single, axis1=1, axis2=2, dtype=np.float64)
         np.testing.assert_allclose(index32, index, rtol=1e-5, atol=1e-6)
+
+    @seed(20261020)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        restarts=st.integers(1, 25),
+        shapes=st.lists(
+            st.tuples(st.integers(1, 300), st.integers(0, 2**32 - 1)), min_size=1, max_size=5,
+        ),
+        offset=st.sampled_from([0.0, 1.0, -3e4, 1e6]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        cap=st.sampled_from([None, 1, 2]),
+    )
+    @example(n=2, restarts=1, shapes=[(1, 0)], offset=1e6, dtype=np.float32, cap=None)
+    @example(n=40, restarts=25, shapes=[(300, s) for s in range(5)], offset=1.0,
+             dtype=np.float32, cap=None)
+    def test_threshold_sweep_matches_margin_sweep(self, n, restarts, shapes, offset, dtype, cap):
+        # The kernel decides each label by one threshold per restart row,
+        # which equals the margin rule of the reference on a centred G; the
+        # row sums t enter only the score. On continuous data, away from
+        # the origin by ``offset`` per coordinate so that t is not zero,
+        # both return the same memberships and the same wss bits.
+        grams, firsts, seconds = [], [], []
+        for d, data_seed in shapes:
+            rng = np.random.default_rng(data_seed)
+            values = rng.normal(size=(d, n)) + offset * rng.normal(size=(d, 1))
+            grams.append(reference.gram(values))
+            i, j = cluster._start_pairs(n, restarts, rng)
+            firsts.append(i)
+            seconds.append(j)
+        grams = np.array(grams).astype(dtype)
+        firsts, seconds = np.array(firsts), np.array(seconds)
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:
+                mp.setattr(cluster, "MAX_LLOYD_ITER", cap)
+            in2, wss = cluster._lloyd(grams, firsts, seconds)
+            ref_in2, ref_wss = reference.margin_lloyd(grams, firsts, seconds)
+        np.testing.assert_array_equal(in2, ref_in2)
+        assert wss.dtype == ref_wss.dtype and wss.tobytes() == ref_wss.tobytes()
 
     def test_emptied_cluster_is_refilled(self):
         # Starting at two copies of one column ties every point, so all go
@@ -413,7 +452,7 @@ class TestBatchedKernelAgainstReference:
 
     def test_duplicate_columns_share_gram_entries(self):
         values = _columns(257, 15, 6, seed=5)
-        gram = cluster._gram(values)
+        gram = reference.gram(values)
         for a in range(15):
             for b in range(15):
                 if np.array_equal(values[:, a], values[:, b]):

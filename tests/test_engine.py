@@ -1,5 +1,8 @@
 import hashlib
+import os
 import tracemalloc
+import warnings
+from contextlib import nullcontext
 
 import null_reference
 import numpy as np
@@ -115,6 +118,20 @@ class TestSimulateNullCis:
         cis = simulate_null_cis(spec, n=9, config=config)
         assert hashlib.sha256(cis.tobytes()).hexdigest() == digest
 
+    def test_realistic_shape_pin(self):
+        # Pins a hard and a soft arm at d = 1000, n = 100 with 20 restarts,
+        # the shape of a gene-expression run, bit for bit (x86-64,
+        # OpenBLAS): blocks of many elements whose restarts leave the
+        # kernel's stack after different numbers of sweeps.
+        lam = np.r_[40.0, 25.0, 12.0, 6.0, 3.0, np.ones(995)]
+        hard = NullSpectrum(method="hard", eigenvalues=lam, sigma_n_sq=1.0)
+        soft = NullSpectrum(method="soft", eigenvalues=np.maximum(lam - 2.0, 1.0),
+                            sigma_n_sq=1.0, tau=2.0)
+        config = TestConfig(n_sim=100, master_seed=20261020)
+        cis = np.stack(engine._simulate((hard, soft), 100, config))
+        assert (hashlib.sha256(cis.tobytes()).hexdigest()
+                == "8ff96842353525c199b7a6eef5005812e64d04ba4fb104f37f7ca332385924c0")
+
     def test_replication_draws_start_pairs_then_grams_from_one_stream(self, monkeypatch):
         # Replication r draws everything from null_generator(master_seed, r):
         # its start pairs first, then every arm's Gram matrix (a wide arm's
@@ -133,7 +150,7 @@ class TestSimulateNullCis:
         config = make_config(restarts_null=restarts)
         engine._simulate(spectra, n, config)
         grams, first, second = (np.concatenate(a) for a in zip(*seen))
-        plan = engine._compact_plan([engine._unit_mean(s) for s in spectra], n)
+        plan = engine._compact_plan([engine._unit_mean(s) for s in spectra], n, np.float32)
         out = np.empty((2, n, n), dtype=np.float32)
         for r in range(config.n_sim):
             rng = null_generator(config.master_seed, r)
@@ -205,6 +222,41 @@ class TestSimulateNullCis:
         spec = NullSpectrum(method="true", eigenvalues=lam)
         serial = simulate_null_cis(spec, n=12, config=make_config())
         parallel = simulate_null_cis(spec, n=12, config=make_config(workers=3))
+        np.testing.assert_array_equal(serial, parallel)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="the pool forks where io forks its readers")
+    def test_pool_forks_where_io_forks(self, monkeypatch):
+        # Pinned so that Python 3.14's forkserver default does not change
+        # the pool; one worker opens none.
+        seen = {}
+
+        def executor(**kwargs):
+            seen.update(kwargs)
+            return nullcontext()
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", executor)
+        with engine._pool(1) as pool:
+            assert pool is None and not seen
+        engine._pool(2)
+        assert seen["max_workers"] == 2
+        assert seen["mp_context"].get_start_method() == "fork"
+
+    def test_fork_warning_is_ignored_where_the_workers_start(self, monkeypatch):
+        # Python 3.12+ warns at each fork while other threads run (OpenBLAS's
+        # among them), and the tests turn warnings into errors; here every
+        # fork warns as it would there.
+        real_fork = os.fork
+
+        def warning_fork():
+            warnings.warn("This process (pid=1) is multi-threaded, use of fork() may "
+                          "lead to deadlocks in the child.", DeprecationWarning)
+            return real_fork()
+
+        spec = NullSpectrum(method="true", eigenvalues=np.r_[4.0, 2.0, np.ones(6)])
+        serial = simulate_null_cis(spec, n=12, config=make_config())
+        monkeypatch.setattr(os, "fork", warning_fork)
+        parallel = simulate_null_cis(spec, n=12, config=make_config(workers=2))
         np.testing.assert_array_equal(serial, parallel)
 
     def test_mean_tracks_population_value(self):
@@ -371,6 +423,32 @@ class TestCompactNullFactor:
         assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
         for f, r in zip(fast, ref):
             np.testing.assert_allclose(f, r, rtol=0, atol=1e-12 * np.abs(r).max())
+
+    @seed(20261020)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 40),
+        n=st.integers(2, 12),
+        kinds=st.lists(st.sampled_from(["spiked", "sample", "wide"]), min_size=1, max_size=4),
+        draw_seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    @example(d=40, n=8, kinds=["sample", "spiked"], draw_seed=1, dtype=np.float32)  # zero floor
+    @example(d=40, n=4, kinds=["wide", "spiked", "wide"], draw_seed=2, dtype=np.float32)
+    def test_in_place_build_matches_out_of_place(self, d, n, kinds, draw_seed, dtype):
+        # Products written straight into the stack, and floor·BcᵀBc added in
+        # place only where the floor is nonzero, give the bits of
+        # ``rows.T @ rows + floor * own_gram``, from the same draws.
+        spectra = tuple(
+            engine._unit_mean(_reference_spectrum(k, d, n, np.random.default_rng([draw_seed, i])))
+            for i, k in enumerate(kinds))
+        plan = engine._compact_plan(spectra, n, dtype)
+        fast_rng, ref_rng = (np.random.default_rng(draw_seed) for _ in range(2))
+        fast, ref = (np.empty((len(spectra), n, n), dtype=dtype) for _ in range(2))
+        engine._null_grams(plan, n, fast_rng, fast)
+        null_reference.out_of_place_grams(plan, n, ref_rng, ref)
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert fast.tobytes() == ref.tobytes()
 
     def test_arm_nulls_do_not_depend_on_the_other_arms(self):
         # Unequal spike counts, and two spectra with more eigenvalues above

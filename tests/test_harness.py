@@ -214,9 +214,9 @@ class TestSharedPool:
         started = []
 
         class CountingPool(engine.ProcessPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 started.append(max_workers)
-                super().__init__(max_workers)
+                super().__init__(max_workers, **kwargs)
 
         monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
         return started
