@@ -39,12 +39,12 @@ from .harness import (
     load_scenario_file,
     run_grid,
     summary_rows,
-    write_summary_csv,
     write_summary_json,
 )
 from .io import (
     RunManifest,
     _write_csv,
+    _write_lines,
     emit_report,
     filter_variables,
     load_eigenvalue_file,
@@ -150,6 +150,15 @@ def _load_input(args):
     return x
 
 
+def _out_dir(args) -> Path | None:
+    """The ``--out`` directory, made now (before any long run), or None
+    for stdout."""
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        return Path(args.out)
+    return None
+
+
 def _cmd_test(args) -> int:
     if (args.method == "true") != bool(args.true_eigenvalues):
         raise InvalidConfigError(
@@ -168,6 +177,7 @@ def _cmd_test(args) -> int:
     x = _load_input(args)
     if args.labels:
         config = dataclasses.replace(config, labels=load_labels(args.labels, x.n))
+    out_dir = _out_dir(args)
     report = run_test(x, config)
 
     print(f"method:               {report.method}")
@@ -180,7 +190,7 @@ def _cmd_test(args) -> int:
     print(f"seed:                 {report.seed}")
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    if args.out:
+    if out_dir is not None:
         manifest = RunManifest(
             input_path=args.matrix,
             observations_in_rows=args.observations_in_rows,
@@ -216,20 +226,17 @@ def _cmd_simulate(args) -> int:
     specs = load_scenario_file(
         scenario, methods=methods, master_seed=seed, full_scale=args.full_scale
     )
+    out_dir = _out_dir(args)
     print(
         f"running {len(specs)} scenario(s) x {len(methods)} method(s), seed {seed}",
         file=sys.stderr,
     )
     grid = run_grid(specs, workers=args.workers)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_summary_csv(grid, out_dir / "summary.csv")
+    _write_csv(sys.stdout if out_dir is None else out_dir / "summary.csv", *summary_rows(grid))
+    if out_dir is not None:
         write_summary_json(grid, out_dir / "summary.json")
         print(f"wrote: {out_dir / 'summary.csv'}")
         print(f"wrote: {out_dir / 'summary.json'}")
-    else:
-        _write_csv(sys.stdout, *summary_rows(grid))
     return EXIT_OK
 
 
@@ -253,14 +260,10 @@ def _cmd_spectrum(args) -> int:
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     lines = _spectrum_table([spectra[a].eigenvalues for a in ("sample", "hard", "soft")])
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "spectrum.csv"
-        path.write_text("\n".join(lines) + "\n")
-        print(f"wrote: {path}")
-    else:
-        print("\n".join(lines))
+    out_dir = _out_dir(args)
+    _write_lines(sys.stdout if out_dir is None else out_dir / "spectrum.csv", lines)
+    if out_dir is not None:
+        print(f"wrote: {out_dir / 'spectrum.csv'}")
     return EXIT_OK
 
 

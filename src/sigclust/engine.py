@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -318,13 +319,20 @@ def _block_size(n, arms):
     return max(1, min(_BLOCK_REPS, _BLOCK_BYTES // _gram_bytes(n, arms)))
 
 
+def _forks() -> bool:
+    """Whether ``io``'s readers and ``_pool``'s workers fork: where the
+    platform tells this process's CPUs (Linux) and no other Python thread
+    runs, whose locks held at the fork would stay held in the child."""
+    return hasattr(os, "sched_getaffinity") and threading.active_count() == 1
+
+
 def _pool(workers):
     """A process pool for ``workers`` > 1, else a null context (None). Its
-    workers fork where ``io`` forks (Linux), else start the platform's way."""
+    workers fork where ``_forks`` allows, else start the platform's way."""
     if workers == 1:
         return nullcontext()
-    method = "fork" if hasattr(os, "sched_getaffinity") else None
-    return ProcessPoolExecutor(max_workers=workers, mp_context=get_context(method))
+    return ProcessPoolExecutor(max_workers=workers,
+                               mp_context=get_context("fork" if _forks() else None))
 
 
 @contextmanager

@@ -27,7 +27,7 @@ from .engine import (
     check_workers, resolve_seed,
 )
 from .errors import InvalidConfigError, ParseError, SigClustError
-from .io import _open_text, _write_csv
+from .io import _open_text, _write_lines
 from .linalg import DataMatrix
 
 MODES = ("none", "first", "all")
@@ -321,28 +321,19 @@ def summary_rows(grid: GridSummary) -> tuple[list[str], list[list]]:
     return head, rows
 
 
-def write_summary_csv(grid: GridSummary, path) -> None:
-    """Wide per-scenario table: mean, P5, and P10 columns for each method."""
-    _write_csv(path, *summary_rows(grid))
-
-
 def write_summary_json(grid: GridSummary, path) -> None:
     """Machine-readable twin of the CSV summary, with full p-value vectors."""
-    cells = []
-    for cell in grid.cells:
-        spec = cell.spec
-        cells.append(
-            {
-                **{col: getattr(spec, field) for col, (field, _) in _COLUMNS.items()},
-                "master_seed": spec.master_seed,
-                "method": cell.method,
-                "mean_p": None if math.isnan(cell.mean_p) else cell.mean_p,
-                "p5_count": cell.p5_count,
-                "p10_count": cell.p10_count,
-                "pvalues": [None if np.isnan(p) else float(p) for p in cell.pvalues],
-                "warnings": list(cell.warnings),
-            }
-        )
-    with open(path, "w") as fh:
-        json.dump({"cells": cells}, fh, indent=2)
-        fh.write("\n")
+    cells = [
+        {
+            **{col: getattr(cell.spec, field) for col, (field, _) in _COLUMNS.items()},
+            "master_seed": cell.spec.master_seed,
+            "method": cell.method,
+            "mean_p": None if math.isnan(cell.mean_p) else cell.mean_p,
+            "p5_count": cell.p5_count,
+            "p10_count": cell.p10_count,
+            "pvalues": [None if np.isnan(p) else float(p) for p in cell.pvalues],
+            "warnings": list(cell.warnings),
+        }
+        for cell in grid.cells
+    ]
+    _write_lines(path, [json.dumps({"cells": cells}, indent=2)])

@@ -1,19 +1,21 @@
-"""Matrix and label ingestion, variable filtering, and report emission.
+"""Every text format: matrix, label, spectrum and scenario input,
+variable filtering, and the tables and documents sigclust writes.
 
-Matrices arrive as rectangular numeric CSV files, optionally with a single
-header row and a leading row-name column; both are auto-detected as the
-least stripping that leaves a numeric grid, or pinned explicitly. A plain
-file (ASCII, no quotes, no blank line inside, every row as wide as the
-first) is read by numpy's C reader; every other file, and any plain file
-that reader rejects, goes through the csv module, which defines the cell
-syntax, the warnings and the errors for both. Both paths read the file
-from an open handle, the plain check in binary chunks, so the file is
-never held in memory whole. On Linux a large plain file is read in parts
-by forked processes, one per CPU, each writing its rows into one shared
-buffer; the values, warnings and errors are those of one read. Reports
-are written as JSON with a fixed key order so that two runs with the same
-seed produce byte-identical files apart from the timing field, plus CSV
-twins of the null indices for spreadsheet use.
+Text is read in the locale's encoding, less a leading UTF-8 byte-order
+mark (Excel's "CSV UTF-8" writes one). Matrices are rectangular numeric
+CSV files, optionally with a single header row and a leading row-name
+column; both are auto-detected as the least stripping that leaves a
+numeric grid, or pinned explicitly. A plain file (ASCII, no quotes, no
+blank line inside, every row as wide as the first) is read by numpy's C
+reader; every other file, and any plain file that reader rejects, goes
+through the csv module, which defines the cell syntax, the warnings and
+the errors for both. Neither holds the file's text whole. On Linux a
+large plain file is read in parts by forked processes, one per CPU, into
+one shared buffer, with the values, warnings and errors of one read.
+Label and spectrum files hold one value per line, blank and '#' lines
+skipped. Every table and document is one write with LF line ends, to a
+file or to stdout; a report's JSON keys keep a fixed order, so two runs
+with one seed give the same bytes but for the timing field.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ import codecs
 import csv
 import itertools
 import json
+import locale
 import mmap
 import os
 import signal
-import threading
 import warnings as _pywarnings
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, dataclass
@@ -35,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engine import TestConfig, TestReport, _quiet_fork
+from .engine import TestConfig, TestReport, _forks, _quiet_fork
 from .errors import InvalidConfigError, InvalidLabelsError, ParseError
 from .linalg import DataMatrix
 from .spectrum import NullSpectrum
@@ -167,10 +169,8 @@ def _parse_plain(path, choices):
 def _split_count(path, rows) -> int:
     """How many processes read a plain file of ``rows`` data lines: one per
     CPU this process may run on, each with at least ``_SPLIT_BYTES`` of the
-    file and one line. One, so no fork, where the platform cannot tell the
-    CPUs, or while another Python thread runs: a lock it holds at the fork
-    would stay held in the child."""
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+    file and one line. One, so no fork, where ``engine._forks`` is false."""
+    if not _forks():
         return 1
     cpus = len(os.sched_getaffinity(0))
     return max(1, min(cpus, os.path.getsize(path) // _SPLIT_BYTES, rows))
@@ -179,11 +179,16 @@ def _split_count(path, rows) -> int:
 def _read_range(path, start, stop, usecols, width):
     """Lines [start, stop) of a plain file as numpy's C reader reads them,
     or None when it rejects one or skips a blank line. The lines are split
-    by a ``newline=""`` text stream, as the csv path splits them."""
+    by a ``newline=""`` text stream, as the csv path splits them. A blank
+    first line is rejected unread: the reader warns on only blank lines."""
     with open(path, encoding="ascii", newline="") as stream:
+        lines = itertools.islice(stream, start, stop)
+        first = next(lines, "")
+        if not first.strip():
+            return None
         try:
             values = np.loadtxt(
-                itertools.islice(stream, start, stop), dtype=np.float64,
+                itertools.chain([first], lines), dtype=np.float64,
                 delimiter=",", comments=None, ndmin=2, usecols=usecols,
             )
         except ValueError:
@@ -197,26 +202,18 @@ def _read_split(path, bounds, usecols, width):
 
     Each part past the first is read by a forked child, which writes its
     rows into one anonymous shared mapping; the parent reads the first part
-    meanwhile. A part is rejected as ``_read_range`` rejects it, and also
-    when it holds only blank lines. A child exits 0 once its rows are
-    written and 1 otherwise, and the parent reads the part of any child
-    that did not exit 0 again: a failed child costs time but changes no
-    value, warning or error. Every child has ended when this returns or
-    raises. Returns a view of the mapping, which lives as long as the view,
-    or None when any part is rejected.
+    meanwhile. A part is rejected as ``_read_range`` rejects it. A child
+    exits 0 once its rows are written and 1 otherwise, and the parent reads
+    the part of any child that did not exit 0 again: a failed child costs
+    time but changes no value, warning or error. Every child has ended when
+    this returns or raises. Returns a view of the mapping, which lives as
+    long as the view, or None when any part is rejected.
     """
     rows = bounds[-1] - bounds[0]
     values = np.frombuffer(mmap.mmap(-1, rows * width * 8), np.float64).reshape(rows, width)
 
     def fill(start, stop) -> bool:
-        with _pywarnings.catch_warnings():
-            # The reader warns on a part of blank lines only, which the csv
-            # path reports as an error. No other thread runs to lose a warning.
-            _pywarnings.simplefilter("error", UserWarning)
-            try:
-                part = _read_range(path, start, stop, usecols, width)
-            except UserWarning:
-                part = None
+        part = _read_range(path, start, stop, usecols, width)
         if part is not None:
             values[start - bounds[0]:stop - bounds[0]] = part
         return part is not None
@@ -280,10 +277,12 @@ def _decode_error(path, err: UnicodeDecodeError) -> ParseError:
 
 @contextmanager
 def _open_text(path, **kwargs):
-    """``open(path, **kwargs)`` for reading, whose decoding failures raise
-    the file's ParseError."""
+    """``open(path, **kwargs)`` for reading in the locale's encoding, as
+    ``utf-8-sig`` where that is UTF-8, so a leading byte-order mark is
+    dropped; a decoding failure raises the file's ParseError."""
+    utf8 = codecs.lookup(locale.getpreferredencoding(False)).name == "utf-8"
     try:
-        with open(path, **kwargs) as fh:
+        with open(path, encoding="utf-8-sig" if utf8 else None, **kwargs) as fh:
             yield fh
     except UnicodeDecodeError as err:
         raise _decode_error(path, err) from None
@@ -391,28 +390,9 @@ def load_matrix(
     return DataMatrix(values)
 
 
-def load_labels(path, n: int) -> np.ndarray:
-    """Read a cluster-label file: one label (1 or 2) per line, n lines."""
-    labels = []
-    with _open_text(path) as fh:
-        for i, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            if text not in ("1", "2"):
-                raise ParseError(
-                    f"{path}: line {i}: labels must be 1 or 2, got {text!r}", line=i
-                )
-            labels.append(int(text))
-    if len(labels) != n:
-        raise InvalidLabelsError(
-            f"{path}: found {len(labels)} labels, expected n={n}"
-        )
-    return np.asarray(labels, dtype=np.int64)
-
-
-def load_eigenvalue_file(path) -> np.ndarray:
-    """Read a spectrum file: one eigenvalue per line, '#' comments allowed."""
+def _read_values(path, parse, expected) -> list:
+    """``parse`` of each line of a one-value-per-line file but blank and
+    '#' lines; a line it rejects raises a ParseError naming line and text."""
     values = []
     with _open_text(path) as fh:
         for i, raw in enumerate(fh, start=1):
@@ -420,11 +400,24 @@ def load_eigenvalue_file(path) -> np.ndarray:
             if not text or text.startswith("#"):
                 continue
             try:
-                values.append(float(text))
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {i}: expected a number, got {text!r}", line=i
-                ) from None
+                values.append(parse(text))
+            except (KeyError, ValueError):
+                raise ParseError(f"{path}: line {i}: {expected}, got {text!r}", line=i) from None
+    return values
+
+
+def load_labels(path, n: int) -> np.ndarray:
+    """Read a cluster-label file: one label (1 or 2) per line, n labels;
+    blank lines and '#' comment lines are skipped."""
+    labels = _read_values(path, {"1": 1, "2": 2}.__getitem__, "labels must be 1 or 2")
+    if len(labels) != n:
+        raise InvalidLabelsError(f"{path}: found {len(labels)} labels, expected n={n}")
+    return np.asarray(labels, dtype=np.int64)
+
+
+def load_eigenvalue_file(path) -> np.ndarray:
+    """Read a spectrum file: one eigenvalue per line, '#' comments allowed."""
+    values = _read_values(path, float, "expected a number")
     if not values:
         raise ParseError(f"{path}: no eigenvalues found", line=1)
     return np.asarray(values, dtype=np.float64)
@@ -502,12 +495,20 @@ def report_to_dict(report: TestReport, manifest: RunManifest | None = None) -> d
     }
 
 
-def _write_csv(target, head, rows) -> None:
-    """Write the row ``head``, then ``rows``, as CSV to a path or an open stream."""
+def _write_lines(target, lines) -> None:
+    """Write ``lines``, each ended by LF, to a path or an open text stream.
+    ``print`` writes the joined text in one write and its last LF in a
+    second: on a stream without a buffer (``python -u``) a reader that
+    leaves mid-write cuts the first short silently, and the second raises
+    the BrokenPipeError."""
     with nullcontext(target) if hasattr(target, "write") else open(target, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(head)
-        writer.writerows(rows)
+        print("\n".join(lines), file=fh)
+
+
+def _write_csv(target, head, rows) -> None:
+    """Write the row ``head``, then ``rows``, as CSV lines, each cell as
+    ``str`` gives it: none holds a comma, a quote or a line break."""
+    _write_lines(target, (",".join(map(str, row)) for row in itertools.chain([head], rows)))
 
 
 def emit_report(report: TestReport, manifest: RunManifest) -> list[Path]:
@@ -521,9 +522,7 @@ def emit_report(report: TestReport, manifest: RunManifest) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     report_path = out_dir / "report.json"
-    with open(report_path, "w") as fh:
-        json.dump(report_to_dict(report, manifest), fh, indent=2)
-        fh.write("\n")
+    _write_lines(report_path, [json.dumps(report_to_dict(report, manifest), indent=2)])
 
     cis_path = out_dir / "null_cis.csv"
     _write_csv(cis_path, ["rep", "ci"],

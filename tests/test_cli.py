@@ -357,6 +357,43 @@ def test_simulate_stdout_is_the_summary_csv(tmp_path):
     assert proc.stdout == (tmp_path / "out" / "summary.csv").read_bytes()
 
 
+def test_tables_end_their_lines_with_lf_alone(matrix_file, tmp_path, capsys):
+    scenario = tmp_path / "scenario.csv"
+    scenario.write_text("v,w,d,n,a,mode,reps,n_sim\n5,1,10,10,0,none,2,100\n")
+    out = tmp_path / "out"
+    simulate = ["simulate", "--scenario", str(scenario), "--methods", "sample", "--seed", "5"]
+    for argv in (["test", str(matrix_file), "--nsim", "100", "--seed", "1", "--out", str(out)],
+                 simulate + ["--out", str(out)], ["spectrum", str(matrix_file), "--out", str(out)],
+                 simulate, ["spectrum", str(matrix_file)]):
+        assert main(argv) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert "\r" not in stdout and stdout.endswith("\n")
+    tables = ["null_cis.csv", "null_ci_ecdf.csv", "summary.csv", "spectrum.csv"]
+    for name in tables:
+        assert b"\r" not in (out / name).read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == sorted(tables + ["report.json", "summary.json"])
+
+
+@pytest.mark.parametrize("command", ["test", "simulate"])
+def test_unusable_out_fails_before_the_run(matrix_file, tmp_path, capsys, monkeypatch, command):
+    # --out below a regular file cannot be made: exit 5 before the null or
+    # the grid, not after it.
+    ran = []
+    monkeypatch.setattr("sigclust.cli.run_test", lambda *args: ran.append("run_test"))
+    monkeypatch.setattr("sigclust.cli.run_grid", lambda *args, **kw: ran.append("run_grid"))
+    scenario = tmp_path / "scenario.csv"
+    scenario.write_text("v,w,d,n,a,mode,reps,n_sim\n5,1,10,10,0,none,2,100\n")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = {"test": ["test", str(matrix_file), "--nsim", "100", "--seed", "1"],
+            "simulate": ["simulate", "--scenario", str(scenario), "--seed", "1"]}[command]
+    assert main(argv + ["--out", str(blocker / "out")]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert ran == []
+
+
 def test_simulate_with_two_workers_leaves_no_process(tmp_path, capsys):
     scenario = tmp_path / "scenario.csv"
     scenario.write_text("v,w,d,n,a,mode,reps,n_sim\n5,1,10,10,0,none,2,100\n1,0,10,10,0,none,2,100\n")

@@ -1,5 +1,7 @@
 import hashlib
+import multiprocessing
 import os
+import threading
 import tracemalloc
 import warnings
 from contextlib import nullcontext
@@ -241,6 +243,27 @@ class TestSimulateNullCis:
         engine._pool(2)
         assert seen["max_workers"] == 2
         assert seen["mp_context"].get_start_method() == "fork"
+
+    def test_pool_takes_the_default_start_while_another_thread_runs(self, monkeypatch):
+        # A lock the other thread holds at a fork would stay held in the
+        # workers, so the pool forks only as io does: with no such thread.
+        seen = {}
+
+        def executor(**kwargs):
+            seen.update(kwargs)
+            return nullcontext()
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", executor)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait, args=(30,))
+        thread.start()
+        try:
+            assert not engine._forks()
+            engine._pool(2)
+        finally:
+            done.set()
+            thread.join(30)
+        assert seen["mp_context"] is multiprocessing.get_context()
 
     def test_fork_warning_is_ignored_where_the_workers_start(self, monkeypatch):
         # Python 3.12+ warns at each fork while other threads run (OpenBLAS's

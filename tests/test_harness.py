@@ -1,4 +1,6 @@
+import codecs
 import json
+import locale
 import multiprocessing
 import warnings
 
@@ -21,9 +23,9 @@ from sigclust import (
 from sigclust.harness import (
     builtin_calibration_grid_path,
     summary_rows,
-    write_summary_csv,
     write_summary_json,
 )
+from sigclust.io import _write_csv
 
 
 def _key(spectrum):
@@ -461,6 +463,16 @@ class TestScenarioFiles:
         assert specs[1].signal_mode == "all" and specs[1].signal_a == 0.6
         assert all(s.master_seed == 3 for s in specs)
 
+    @pytest.mark.skipif(
+        codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8",
+        reason="a byte-order mark is dropped where the locale's encoding is UTF-8")
+    def test_byte_order_mark_reads_as_without_it(self, tmp_path):
+        text = "v,w,d,n,a,mode,reps,n_sim\n10,2,50,20,0,none,5,100\n"
+        plain, marked = tmp_path / "grid.csv", tmp_path / "bom-grid.csv"
+        plain.write_text(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        assert load_scenario_file(marked, master_seed=3) == load_scenario_file(plain, master_seed=3)
+
     def test_bad_files(self, tmp_path):
         missing = tmp_path / "missing_cols.csv"
         missing.write_text("v,w\n1,1\n")
@@ -512,7 +524,7 @@ class TestSummaries:
         assert all(cell != "" for cell in rows[0] + rows[1][11:])
 
         csv_path = tmp_path / "summary.csv"
-        write_summary_csv(grid, csv_path)
+        _write_csv(csv_path, *summary_rows(grid))
         lines = csv_path.read_text().splitlines()
         assert lines[0] == ",".join(head)
         assert lines[2].split(",")[8:11] == ["", "", ""]
@@ -542,7 +554,7 @@ class TestSummaries:
         payload = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-strict {c}"))
         assert payload["cells"][0]["mean_p"] is None
         assert payload["cells"][0]["pvalues"] == [None, None]
-        write_summary_csv(grid, tmp_path / "summary.csv")
+        _write_csv(tmp_path / "summary.csv", *summary_rows(grid))
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert lines[1].split(",")[8:] == ["", "0", "0"]
 
@@ -556,7 +568,7 @@ class TestSummaries:
         assert len(rows) == 1
 
         csv_path = tmp_path / "summary.csv"
-        write_summary_csv(grid, csv_path)
+        _write_csv(csv_path, *summary_rows(grid))
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("v,w,d,n,a,mode,reps,n_sim")

@@ -1,4 +1,6 @@
+import codecs
 import json
+import locale
 import os
 import re
 import signal
@@ -623,6 +625,53 @@ class TestUndecodableFile:
                 f"{path}: line {line}: byte {offset} is not valid {encoding} text")
 
 
+needs_utf8_locale = pytest.mark.skipif(
+    codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8",
+    reason="a byte-order mark is dropped where the locale's encoding is UTF-8")
+
+
+@needs_utf8_locale
+class TestByteOrderMark:
+    """A file saved with a UTF-8 byte-order mark (Excel's "CSV UTF-8") reads
+    as the same file without it."""
+
+    @staticmethod
+    def _pair(tmp_path, text, name):
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        return plain, marked
+
+    @pytest.mark.parametrize("header", [False, True], ids=["numeric", "header"])
+    def test_matrix_reads_as_without_the_mark(self, tmp_path, header):
+        values = np.random.default_rng(29).standard_normal((30, 10))
+        lines = [",".join(map(repr, map(float, row))) for row in values]
+        if header:
+            lines.insert(0, ",".join(f"s{j}" for j in range(10)))
+        plain, marked = self._pair(tmp_path, "\n".join(lines) + "\n", "m.csv")
+        want, want_warnings = _outcome(load_matrix, plain)
+        got, got_warnings = _outcome(load_matrix, marked)
+        assert got == want and want[1] == (30, 10)
+        assert got_warnings == [w.replace(str(plain), str(marked)) for w in want_warnings]
+        assert not any("row names" in w for w in got_warnings)
+
+    def test_labels_read_as_without_the_mark(self, tmp_path):
+        plain, marked = self._pair(tmp_path, "1\n2\n2\n", "labels.txt")
+        np.testing.assert_array_equal(load_labels(marked, 3), load_labels(plain, 3))
+
+    def test_spectrum_reads_as_without_the_mark(self, tmp_path):
+        plain, marked = self._pair(tmp_path, "4\n1\n1\n", "spec.txt")
+        np.testing.assert_array_equal(load_eigenvalue_file(marked), load_eigenvalue_file(plain))
+
+    def test_decode_error_offset_counts_the_mark(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_bytes(codecs.BOM_UTF8 + b"1\n\xff\n")
+        with pytest.raises(ParseError) as exc:
+            load_labels(path, 2)
+        assert exc.value.line == 2
+        assert str(exc.value) == f"{path}: line 2: byte 5 is not valid utf-8 text"
+
+
 class TestStreamedFile:
     def test_load_holds_less_than_the_file(self, tmp_path):
         values = np.random.default_rng(6).standard_normal((5000, 40))
@@ -690,6 +739,11 @@ class TestLabelsAndSpectrumFiles:
     def test_labels_skip_blank_lines(self, tmp_path):
         path = tmp_path / "labels.txt"
         path.write_text("\n1\n  \n2\n\n2\n")
+        np.testing.assert_array_equal(load_labels(path, 3), [1, 2, 2])
+
+    def test_labels_skip_comment_lines(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("# groups from the clinic\n1\n\n  # second batch\n2\n2\n\n")
         np.testing.assert_array_equal(load_labels(path, 3), [1, 2, 2])
 
     def test_labels_bad_value(self, tmp_path):
